@@ -15,6 +15,7 @@
 //   $ ./fault_campaign --mode stall         # watchdog recovery campaign
 //   $ ./fault_campaign --fault-seed 42      # a different (replayable) run
 //   $ ./fault_campaign --json metrics.json  # export counters afterwards
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +35,8 @@
 namespace {
 
 constexpr uint32_t kEchoOp = 1;
+// Echo requests: up to 64 bytes, op code first.
+using EchoRequest = std::array<uint32_t, 16>;
 constexpr char kEchoName[] = "/svc/echo";
 
 struct Fleet {
@@ -45,16 +48,16 @@ struct Fleet {
   uint64_t beat_ns = 0;
   std::vector<mk::Task*> tasks;
   std::vector<mk::PortName> recvs;
-  std::vector<std::shared_ptr<mk::ServerLoop>> loops;
+  std::vector<std::shared_ptr<mk::ServerLoop<EchoRequest>>> loops;
 
   mk::Task* Spawn() {
     const int gen = static_cast<int>(tasks.size());
     mk::Task* task = kernel.CreateTask("echo-g" + std::to_string(gen));
     auto recv = kernel.PortAllocate(*task);
-    auto loop = std::make_shared<mk::ServerLoop>(*recv, "echo", 64);
-    loop->Register(kEchoOp, [](mk::Env& env, const mk::RpcRequest& request, const uint8_t* req,
-                               const uint8_t*, uint32_t) {
-      env.RpcReply(request.token, req, request.req_len);
+    auto loop = std::make_shared<mk::ServerLoop<EchoRequest>>(*recv, "echo");
+    loop->Register(kEchoOp, [](mk::Env& env, const mk::RpcRequest& request, const EchoRequest& req,
+                               uint8_t*, uint32_t) {
+      env.RpcReply(request.token, req.data(), request.req_len);
     });
     if (manager != nullptr && beat_ns != 0) {
       auto health = manager->HealthRightFor(*task);
@@ -98,22 +101,24 @@ int main(int argc, char** argv) {
   mk::Kernel kernel(&machine);
   kernel.tracer().Enable();
   kernel.faults().Enable(seed);
+  // Every RPC server runs the handler-entry fault point; each campaign is
+  // scoped to the echo fleet ("echo") so the name service stays healthy.
   if (mode == "crash") {
     // Crash the echo server at handler entry on ~15% of requests, at most 3
     // times; drop one reply on the wire for good measure.
     kernel.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
-                        mk::fault::FaultMode::kCrashTask, 15, /*max_fires=*/3);
+                        mk::fault::FaultMode::kCrashTask, 15, /*max_fires=*/3, "echo");
   } else if (mode == "stall") {
     // Wedge the serving thread silently on ~10% of requests, at most twice.
     // No death notice ever arrives — recovery is the watchdog's alone.
     kernel.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
-                        mk::fault::FaultMode::kStallTask, 10, /*max_fires=*/2);
+                        mk::fault::FaultMode::kStallTask, 10, /*max_fires=*/2, "echo");
   } else {
     // Slow the server down with seeded delays on ~25% of requests; the
     // robust client's per-attempt deadline must absorb them.
     kernel.faults().ArmDelay(mk::fault::FaultPoint::kServerHandlerEntry,
                              mk::fault::Injector::kDefaultDelayMinNs,
-                             mk::fault::Injector::kDefaultDelayMaxNs, 25);
+                             mk::fault::Injector::kDefaultDelayMaxNs, 25, ~0ull, "echo");
   }
 
   mk::Task* ns_task = kernel.CreateTask("mks-naming");
@@ -179,7 +184,6 @@ int main(int argc, char** argv) {
     fleet.loops.back()->Stop();
     manager.Stop();
     names.Stop();
-    (void)nc.Resolve(env, "/x");  // unblock the name server loop
   });
   kernel.Run();
 

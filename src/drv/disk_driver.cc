@@ -44,7 +44,12 @@ DiskDriver::DiskDriver(mk::Kernel& kernel, mk::Task* task, hw::Disk* disk, Resou
                                                      hw::kPageSize);
   WPOS_CHECK(dma.ok()) << "no contiguous memory for disk DMA buffer";
   dma_buffer_ = *dma;
-  kernel_.CreateThread(task_, "disk-driver", [this](mk::Env& env) { Serve(env); },
+  loop_ = std::make_unique<mk::ServerLoop<DiskRequest>>(
+      service_port_, "disk", kMaxSectors * hw::Disk::kSectorSize, std::vector<mk::LoopCode>{});
+  loop_->Register(DiskOp::kInfo, this, &DiskDriver::HandleInfo);
+  loop_->Register(DiskOp::kRead, this, &DiskDriver::HandleRead);
+  loop_->Register(DiskOp::kWrite, this, &DiskDriver::HandleWrite);
+  kernel_.CreateThread(task_, "disk-driver", [this](mk::Env& env) { loop_->Run(env); },
                        mk::Thread::kDefaultPriority + 4);
 }
 
@@ -92,60 +97,32 @@ base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, uint8_t* dat
   return base::Status::kOk;
 }
 
-void DiskDriver::Serve(mk::Env& env) {
-  DiskRequest req;
-  std::vector<uint8_t> data(kMaxSectors * hw::Disk::kSectorSize);
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = data.data();
-    ref.recv_cap = static_cast<uint32_t>(data.size());
-    auto r = env.RpcReceive(service_port_, &req, sizeof(req), &ref);
-    if (!r.ok()) {
-      return;
-    }
-    ++requests_served_;
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(req.op));
-    op_span.set_end_payload(static_cast<uint64_t>(req.op));
-    tracer.LabelSpan(op_span.id(), "disk");
-    ++tracer.metrics().Counter("server.disk.ops");
-    DiskReply reply;
-    switch (req.op) {
-      case DiskOp::kInfo:
-        reply.sectors = disk_->num_sectors();
-        env.RpcReply(r->token, &reply, sizeof(reply));
-        break;
-      case DiskOp::kRead: {
-        reply.status = static_cast<int32_t>(DoIo(env, req, data.data()));
-        const uint32_t bytes =
-            reply.status == 0 ? req.count * hw::Disk::kSectorSize : 0;
-        env.RpcReply(r->token, &reply, sizeof(reply), data.data(), bytes);
-        break;
-      }
-      case DiskOp::kWrite: {
-        if (ref.recv_len != req.count * hw::Disk::kSectorSize) {
-          reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        } else {
-          reply.status = static_cast<int32_t>(DoIo(env, req, data.data()));
-        }
-        env.RpcReply(r->token, &reply, sizeof(reply));
-        break;
-      }
-      default:
-        reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(r->token, &reply, sizeof(reply));
-    }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, service_port_);
-      return;
-    }
+void DiskDriver::HandleInfo(mk::Env& env, const mk::RpcRequest& rpc, const DiskRequest&) {
+  ++requests_served_;
+  DiskReply reply;
+  reply.sectors = disk_->num_sectors();
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void DiskDriver::HandleRead(mk::Env& env, const mk::RpcRequest& rpc, const DiskRequest& req,
+                            uint8_t* data, uint32_t) {
+  ++requests_served_;
+  DiskReply reply;
+  reply.status = static_cast<int32_t>(DoIo(env, req, data));
+  const uint32_t bytes = reply.status == 0 ? req.count * hw::Disk::kSectorSize : 0;
+  env.RpcReply(rpc.token, &reply, sizeof(reply), data, bytes);
+}
+
+void DiskDriver::HandleWrite(mk::Env& env, const mk::RpcRequest& rpc, const DiskRequest& req,
+                             uint8_t* data, uint32_t data_len) {
+  ++requests_served_;
+  DiskReply reply;
+  if (data_len != req.count * hw::Disk::kSectorSize) {
+    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+  } else {
+    reply.status = static_cast<int32_t>(DoIo(env, req, data));
   }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
 }
 
 base::Status RpcBlockStore::Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) {

@@ -38,13 +38,19 @@ class DiskDriver {
   mk::Task* task() const { return task_; }
   mk::PortName service_port() const { return service_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  void Stop() { loop_->Stop(); }
 
   uint64_t requests_served() const { return requests_served_; }
   uint64_t interrupts_taken() const { return interrupts_taken_; }
 
  private:
-  void Serve(mk::Env& env);
+  void HandleInfo(mk::Env& env, const mk::RpcRequest& rpc, const DiskRequest& req);
+  // `data` is the loop's ref buffer, kMaxSectors sectors: the write payload
+  // in, the read result out.
+  void HandleRead(mk::Env& env, const mk::RpcRequest& rpc, const DiskRequest& req,
+                  uint8_t* data, uint32_t data_len);
+  void HandleWrite(mk::Env& env, const mk::RpcRequest& rpc, const DiskRequest& req,
+                   uint8_t* data, uint32_t data_len);
   base::Status DoIo(mk::Env& env, const DiskRequest& req, uint8_t* data);
   void AwaitCompletion(mk::Env& env);
 
@@ -53,11 +59,11 @@ class DiskDriver {
   hw::Disk* disk_;
   DriverId driver_id_ = 0;
   mk::PortName service_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop<DiskRequest>> loop_;
   mk::PortName irq_port_ = mk::kNullPort;
   hw::PhysAddr dma_buffer_ = 0;
   uint64_t requests_served_ = 0;
   uint64_t interrupts_taken_ = 0;
-  bool running_ = true;
 };
 
 // Client-side block access over the driver's RPC service; plugs into the

@@ -5,6 +5,7 @@
 #define SRC_DRV_NIC_DRIVER_H_
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/drv/resource_manager.h"
@@ -32,19 +33,22 @@ class NicDriver {
 
   mk::PortName service_port() const { return service_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  void Stop() { loop_->Stop(); }
 
   uint64_t frames_tx() const { return frames_tx_; }
   uint64_t frames_rx() const { return frames_rx_; }
 
  private:
   void IsrLoop(mk::Env& env);
-  void Serve(mk::Env& env);
+  void HandleSend(mk::Env& env, const mk::RpcRequest& rpc, const NicRequest& req,
+                  const uint8_t* frame, uint32_t frame_len);
+  void HandleRecv(mk::Env& env, const mk::RpcRequest& rpc, const NicRequest& req);
 
   mk::Kernel& kernel_;
   mk::Task* task_;
   hw::Nic* nic_;
   mk::PortName service_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop<NicRequest>> loop_;
   mk::PortName irq_port_ = mk::kNullPort;
   hw::PhysAddr tx_buffer_ = 0;
   hw::PhysAddr rx_buffer_ = 0;
@@ -52,7 +56,6 @@ class NicDriver {
   std::deque<uint64_t> pending_recvs_;  // tokens of queued kRecv requests
   uint64_t frames_tx_ = 0;
   uint64_t frames_rx_ = 0;
-  bool running_ = true;
 };
 
 // Client-side frame interface for the networking service.

@@ -1,5 +1,7 @@
 #include "src/mk/fault/injector.h"
 
+#include <utility>
+
 #include "src/base/log.h"
 #include "src/mk/trace/tracer.h"
 
@@ -51,17 +53,18 @@ void Injector::Enable(uint64_t seed) {
 }
 
 void Injector::Arm(FaultPoint point, FaultMode mode, uint32_t percent,
-                   uint64_t max_fires) {
+                   uint64_t max_fires, std::string target) {
   PointState& state = points_[static_cast<size_t>(point)];
   state.mode = mode;
   state.percent = percent > 100 ? 100 : percent;
   state.max_fires = max_fires;
   state.fired = 0;
+  state.target = std::move(target);
 }
 
 void Injector::ArmDelay(FaultPoint point, uint64_t min_delay_ns, uint64_t max_delay_ns,
-                        uint32_t percent, uint64_t max_fires) {
-  Arm(point, FaultMode::kDelayReply, percent, max_fires);
+                        uint32_t percent, uint64_t max_fires, std::string target) {
+  Arm(point, FaultMode::kDelayReply, percent, max_fires, std::move(target));
   PointState& state = points_[static_cast<size_t>(point)];
   state.delay_min_ns = min_delay_ns;
   state.delay_max_ns = max_delay_ns < min_delay_ns ? min_delay_ns : max_delay_ns;
@@ -83,9 +86,10 @@ void Injector::DisarmAll() {
   }
 }
 
-FaultMode Injector::FireSlow(FaultPoint point) {
+FaultMode Injector::FireSlow(FaultPoint point, std::string_view server) {
   PointState& state = points_[static_cast<size_t>(point)];
-  if (state.mode == FaultMode::kNone || state.fired >= state.max_fires) {
+  if (state.mode == FaultMode::kNone || state.fired >= state.max_fires ||
+      (!state.target.empty() && state.target != server)) {
     return FaultMode::kNone;
   }
   // Draw even at 100% so the schedule depends only on the seed and the

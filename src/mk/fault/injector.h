@@ -18,6 +18,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -51,15 +53,18 @@ class Injector {
 
   // Arms `point` to fire `mode` with probability `percent` (0..100) per
   // visit, for at most `max_fires` total fires. Re-arming replaces the
-  // previous configuration for that point.
+  // previous configuration for that point. A non-empty `target` scopes the
+  // point to visits from the server with that label (mk::ServerLoop passes
+  // its label); other visits return kNone without drawing from the RNG, so
+  // adding servers to a system never perturbs a scoped campaign.
   void Arm(FaultPoint point, FaultMode mode, uint32_t percent = 100,
-           uint64_t max_fires = ~0ull);
+           uint64_t max_fires = ~0ull, std::string target = {});
   // Arms kDelayReply at `point` with an explicit simulated-ns delay range
   // [min_ns, max_ns]; plain Arm(point, kDelayReply) uses the default range
   // below. Each fire's delay is drawn from the campaign's RNG stream, so it
   // replays with the seed like every other decision.
   void ArmDelay(FaultPoint point, uint64_t min_delay_ns, uint64_t max_delay_ns,
-                uint32_t percent = 100, uint64_t max_fires = ~0ull);
+                uint32_t percent = 100, uint64_t max_fires = ~0ull, std::string target = {});
   void DisarmAll();
 
   // Default kDelayReply range: long enough to trip queue build-up, short
@@ -71,13 +76,14 @@ class Injector {
   // Fire() returned kDelayReply).
   uint64_t DrawDelayNs(FaultPoint point);
 
-  // Called at each fault point. Returns the mode to apply, or kNone.
-  // When the injector is disabled this is a single predictable branch.
-  FaultMode Fire(FaultPoint point) {
+  // Called at each fault point by the server labelled `server` (empty for
+  // kernel points). Returns the mode to apply, or kNone. When the injector
+  // is disabled this is a single predictable branch.
+  FaultMode Fire(FaultPoint point, std::string_view server = {}) {
     if (!enabled_) {
       return FaultMode::kNone;
     }
-    return FireSlow(point);
+    return FireSlow(point, server);
   }
 
   // Campaign results (host-side, zero simulated cost).
@@ -95,9 +101,10 @@ class Injector {
     uint64_t fired = 0;
     uint64_t delay_min_ns = kDefaultDelayMinNs;
     uint64_t delay_max_ns = kDefaultDelayMaxNs;
+    std::string target;  // empty = any server
   };
 
-  FaultMode FireSlow(FaultPoint point);
+  FaultMode FireSlow(FaultPoint point, std::string_view server);
 
   trace::Tracer* tracer_;
   bool enabled_ = false;

@@ -1,39 +1,86 @@
-// Server-loop helper shared by every RPC server in the system: receives
-// requests on a port, demultiplexes on a 32-bit operation code at the start
-// of the request, and charges the modelled server-stub and loop costs.
-// Requests are POD structs whose first field is the op code.
+// The one RPC receive loop, shared by every RPC server in the system:
+// receives requests on a port, runs the handler-entry fault point (armed
+// campaigns may scope it to one server label), opens the server's kServerOp
+// span, charges the server's loop and stub code, and demultiplexes on the
+// 32-bit operation code at the start of the request. Requests are POD
+// structs whose first field is the op code; the loop hands each handler a
+// value-initialized copy of the received bytes. It also owns shutdown
+// (Stop), survival of oversized requests, and watchdog heartbeats.
 #ifndef SRC_MK_SERVER_LOOP_H_
 #define SRC_MK_SERVER_LOOP_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/mk/kernel.h"
 
 namespace mk {
 
+// One code region a server's loop charges per served request: the modelled
+// demultiplex loop and stub text of that server, in charge order.
+struct LoopCode {
+  std::string name;
+  uint32_t instructions = 0;
+  uint32_t sparsity = 1;  // 1 = DefineCode text, hw::kKernelTextSparsity = stub text
+};
+
+template <typename Req>
 class ServerLoop {
+  static_assert(std::is_trivially_copyable_v<Req> && sizeof(Req) >= sizeof(uint32_t),
+                "requests are POD structs led by a 32-bit op code");
+
  public:
-  // A handler receives the raw request and must end with env.RpcReply(token,
-  // ...). `ref_data`/`ref_len` is by-reference bulk data the client attached.
-  using Handler = std::function<void(Env& env, const RpcRequest& request, const uint8_t* req,
-                                     const uint8_t* ref_data, uint32_t ref_len)>;
+  // A handler gets the request and must end with env.RpcReply(rpc.token,
+  // ...) unless it defers the reply (keeps the token and returns).
+  // `ref_data` is the loop's by-reference buffer (max_ref bytes), holding
+  // `ref_len` bytes the client attached; a handler may reuse it as scratch.
+  using Handler = std::function<void(Env& env, const RpcRequest& rpc, const Req& req,
+                                     uint8_t* ref_data, uint32_t ref_len)>;
 
-  // `interface` names the server's stub image for the I-cache model (each
-  // server's stubs are distinct linked code, as they were in WPOS).
-  ServerLoop(PortName receive_port, const std::string& interface, uint32_t max_request = 512,
-             uint32_t max_ref = 64 * 1024)
+  // `label` names the server in spans, counters ("server.<label>.ops") and
+  // scoped fault arming. `code` lists the regions each request charges;
+  // they are registered when Run() starts (each server's stubs are distinct
+  // linked code, as they were in WPOS). `max_ref` sizes the ref buffer.
+  ServerLoop(PortName receive_port, std::string label, uint32_t max_ref,
+             std::vector<LoopCode> code)
       : port_(receive_port),
-        interface_(interface),
-        stub_region_(hw::DefineKernelCode("stub." + interface, Costs::kRpcServerStub)),
-        loop_region_(hw::DefineKernelCode("loop." + interface, Costs::kRpcServerLoop)),
-        request_buf_(max_request),
-        ref_buf_(max_ref) {}
+        label_(std::move(label)),
+        ops_counter_("server." + label_ + ".ops"),
+        max_ref_(max_ref),
+        code_(std::move(code)) {}
 
-  void Register(uint32_t op, Handler handler) { handlers_[op] = std::move(handler); }
+  // A server with the generic stub pair: "loop.<label>" and "stub.<label>"
+  // as dense kernel-style text.
+  ServerLoop(PortName receive_port, const std::string& label, uint32_t max_ref = 64 * 1024)
+      : ServerLoop(receive_port, label, max_ref,
+                   {{"loop." + label, Costs::kRpcServerLoop, hw::kKernelTextSparsity},
+                    {"stub." + label, Costs::kRpcServerStub, hw::kKernelTextSparsity}}) {}
+
+  // `op` is a uint32_t or the server's op enum.
+  template <typename Op>
+  void Register(Op op, Handler handler) {
+    handlers_[static_cast<uint32_t>(op)] = std::move(handler);
+  }
+  // Member-function form: `method` takes (env, rpc, req), or (env, rpc, req,
+  // ref_data, ref_len) when it consumes by-reference data.
+  template <typename Op, typename T, typename... Ref>
+  void Register(Op op, T* self,
+                void (T::*method)(Env&, const RpcRequest&, const Req&, Ref...)) {
+    Register(op, [self, method](Env& env, const RpcRequest& rpc, const Req& req,
+                                uint8_t* ref_data, uint32_t ref_len) {
+      if constexpr (sizeof...(Ref) == 0) {
+        (self->*method)(env, rpc, req);
+      } else {
+        (self->*method)(env, rpc, req, ref_data, ref_len);
+      }
+    });
+  }
 
   // Arms watchdog heartbeats: the loop sends a HeartbeatPing to
   // `health_right` (a send right in the serving task's space, minted by
@@ -53,7 +100,8 @@ class ServerLoop {
   // and exits, and every caller — queued or future — observes kPortDead
   // rather than a request that may or may not still be served. Callable from
   // any thread (including a handler) once Run() has started; calling it
-  // before Run() makes Run() destroy the port and return at once.
+  // before Run() makes Run() destroy the port and return at once. Per-server
+  // exit work belongs after Run() returns, in the server's thread body.
   void Stop() {
     stop_requested_ = true;
     running_ = false;
@@ -63,7 +111,8 @@ class ServerLoop {
   }
   bool running() const { return running_; }
 
-  // Runs until Stop() or the port dies. Unknown ops get an empty error reply.
+  // Runs until Stop(), a fault that ends the server, or the port dies.
+  // Unknown ops complete with kNotSupported.
   void Run(Env& env) {
     env_ = &env;
     if (stop_requested_) {
@@ -71,29 +120,35 @@ class ServerLoop {
       env_ = nullptr;
       return;
     }
+    Kernel& kernel = env.kernel();
+    std::vector<hw::CodeRegion> regions;
+    for (const LoopCode& c : code_) {
+      regions.push_back(hw::CodeLayout::Global().Register(c.name, c.instructions, c.sparsity));
+    }
+    std::vector<uint8_t> ref_buf(max_ref_);
     running_ = true;
     if (health_right_ != kNullPort) {
       SendHeartbeat(env);  // first beat arms the watchdog deadline
     }
     while (running_) {
       RpcRef ref;
-      ref.recv_buf = ref_buf_.data();
-      ref.recv_cap = static_cast<uint32_t>(ref_buf_.size());
+      ref.recv_buf = ref_buf.data();
+      ref.recv_cap = max_ref_;
       // With heartbeats armed the park is bounded so an idle server still
       // wakes to beat; without them this is the plain blocking receive.
       const uint64_t receive_timeout =
           health_right_ != kNullPort && heartbeat_every_ns_ != 0 ? heartbeat_every_ns_ : kForever;
-      auto request = env.RpcReceive(port_, request_buf_.data(),
-                                    static_cast<uint32_t>(request_buf_.size()), &ref,
-                                    receive_timeout);
-      if (!request.ok()) {
-        if (request.status() == base::Status::kTooLarge) {
+      Req req{};
+      auto rpc = env.RpcReceive(port_, &req, sizeof(Req), &ref, receive_timeout);
+      if (!rpc.ok()) {
+        if (rpc.status() == base::Status::kTooLarge) {
           // An oversized queued request was already failed back to its
           // client; the loop itself is healthy — keep serving. Breaking here
-          // would tear down the port under every other queued caller.
+          // would leave the port alive with no receiver, hanging every
+          // later caller.
           continue;
         }
-        if (request.status() == base::Status::kTimedOut) {
+        if (rpc.status() == base::Status::kTimedOut) {
           // Idle heartbeat tick: nothing arrived within the beat interval.
           SendHeartbeat(env);
           continue;
@@ -109,16 +164,10 @@ class ServerLoop {
           SendHeartbeat(env);
         }
       }
-      env.kernel().cpu().Execute(loop_region_);
-      env.kernel().cpu().Execute(stub_region_);
-      uint32_t op = 0;
-      if (request->req_len >= sizeof(uint32_t)) {
-        std::memcpy(&op, request_buf_.data(), sizeof(uint32_t));
-      }
-      // Fault point: the handler entry, after demultiplexing and before any
-      // handler state changes — the injected failure is indistinguishable
-      // from the server crashing at the top of the operation.
-      switch (env.kernel().faults().Fire(fault::FaultPoint::kServerHandlerEntry)) {
+      // Fault point: the handler entry, before any handler state changes —
+      // the injected failure is indistinguishable from the server crashing
+      // at the top of the operation.
+      switch (kernel.faults().Fire(fault::FaultPoint::kServerHandlerEntry, label_)) {
         case fault::FaultMode::kNone:
           break;
         case fault::FaultMode::kCrashTask:
@@ -127,7 +176,7 @@ class ServerLoop {
           port_destroyed_ = true;
           running_ = false;
           env_ = nullptr;
-          env.kernel().TerminateTask(&env.task());
+          kernel.TerminateTask(&env.task());
           return;
         case fault::FaultMode::kDropReply:
           continue;  // swallow: the client waits out its deadline
@@ -137,7 +186,7 @@ class ServerLoop {
           env_ = nullptr;
           return;
         case fault::FaultMode::kTransientError:
-          env.RpcReply(request->token, nullptr, 0, nullptr, 0, kNullPort, base::Status::kBusy);
+          env.RpcReply(rpc->token, nullptr, 0, nullptr, 0, kNullPort, base::Status::kBusy);
           continue;
         case fault::FaultMode::kStallTask: {
           // Wedged, not dead: the thread parks forever mid-request and stops
@@ -145,7 +194,7 @@ class ServerLoop {
           // teardown fails this client and every queued one with kPortDead.
           running_ = false;
           env_ = nullptr;
-          (void)env.kernel().StallForever();
+          (void)kernel.StallForever();
           // Only reached once the stall is aborted by task teardown.
           port_destroyed_ = true;
           return;
@@ -153,25 +202,30 @@ class ServerLoop {
         case fault::FaultMode::kDelayReply:
           // Overloaded, not broken: sleep a seeded simulated delay, then
           // serve the request normally. Queued callers see the added wait.
-          (void)env.SleepNs(
-              env.kernel().faults().DrawDelayNs(fault::FaultPoint::kServerHandlerEntry));
+          (void)env.SleepNs(kernel.faults().DrawDelayNs(fault::FaultPoint::kServerHandlerEntry));
           break;
         case fault::FaultMode::kCount:
           break;
       }
-      trace::Tracer& tracer = env.kernel().tracer();
+      uint32_t op = 0;
+      if (rpc->req_len >= sizeof(uint32_t)) {
+        std::memcpy(&op, &req, sizeof(uint32_t));
+      }
+      trace::Tracer& tracer = kernel.tracer();
       trace::ScopedSpan op_span(tracer, trace::SpanKind::kServerOp,
                                 trace::EventType::kServerDispatch, trace::EventType::kServerDone,
                                 op);
       op_span.set_end_payload(op);
-      tracer.LabelSpan(op_span.id(), interface_);
-      ++tracer.metrics().Counter("server." + interface_ + ".ops");
+      tracer.LabelSpan(op_span.id(), label_);
+      ++tracer.metrics().Counter(ops_counter_);
+      for (const hw::CodeRegion& region : regions) {
+        kernel.cpu().Execute(region);
+      }
       auto it = handlers_.find(op);
       if (it == handlers_.end()) {
-        env.RpcReply(request->token, nullptr, 0, nullptr, 0, kNullPort,
-                     base::Status::kNotSupported);
+        env.RpcReply(rpc->token, nullptr, 0, nullptr, 0, kNullPort, base::Status::kNotSupported);
       } else {
-        it->second(env, *request, request_buf_.data(), ref_buf_.data(), ref.recv_len);
+        it->second(env, *rpc, req, ref_buf.data(), ref.recv_len);
       }
     }
     DestroyReceivePort(env);
@@ -181,7 +235,8 @@ class ServerLoop {
 
  private:
   void DestroyReceivePort(Env& env) {
-    if (!port_destroyed_) {
+    // A terminated task's ports died with it; nothing left to destroy.
+    if (!port_destroyed_ && !env.task().terminated()) {
       port_destroyed_ = true;
       (void)env.kernel().PortDestroy(env.task(), port_);
     }
@@ -202,11 +257,10 @@ class ServerLoop {
   }
 
   PortName port_;
-  std::string interface_;
-  hw::CodeRegion stub_region_;
-  hw::CodeRegion loop_region_;
-  std::vector<uint8_t> request_buf_;
-  std::vector<uint8_t> ref_buf_;
+  std::string label_;
+  std::string ops_counter_;
+  uint32_t max_ref_;
+  std::vector<LoopCode> code_;
   std::unordered_map<uint32_t, Handler> handlers_;
   Env* env_ = nullptr;  // set while Run() is active; lets Stop() act at once
   bool running_ = false;

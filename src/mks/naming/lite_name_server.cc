@@ -20,7 +20,12 @@ LiteNameServer::LiteNameServer(mk::Kernel& kernel, mk::Task* task)
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
   table_sim_addr_ = kernel_.heap().Allocate(4096);
-  kernel_.CreateThread(task_, "lite-name-server", [this](mk::Env& env) { Serve(env); },
+  loop_ = std::make_unique<mk::ServerLoop<LiteNameRequest>>(
+      receive_port_, "naming_lite", /*max_ref=*/0,
+      std::vector<mk::LoopCode>{{"loop.naming_lite", mk::Costs::kRpcServerLoop}});
+  loop_->Register(LiteNameOp::kRegister, this, &LiteNameServer::HandleRegister);
+  loop_->Register(LiteNameOp::kResolve, this, &LiteNameServer::HandleResolve);
+  kernel_.CreateThread(task_, "lite-name-server", [this](mk::Env& env) { loop_->Run(env); },
                        mk::Thread::kDefaultPriority + 2);
 }
 
@@ -30,55 +35,35 @@ mk::PortName LiteNameServer::GrantTo(mk::Task& client) {
   return *name;
 }
 
-void LiteNameServer::Serve(mk::Env& env) {
-  static const hw::CodeRegion kLoop =
-      hw::DefineCode("loop.naming_lite", mk::Costs::kRpcServerLoop);
-  LiteNameRequest r;
-  while (true) {
-    auto req = env.RpcReceive(receive_port_, &r, sizeof(r));
-    if (!req.ok()) {
-      return;
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(r.op));
-    op_span.set_end_payload(static_cast<uint64_t>(r.op));
-    tracer.LabelSpan(op_span.id(), "naming_lite");
-    ++tracer.metrics().Counter("server.naming_lite.ops");
-    kernel_.cpu().Execute(kLoop);
-    kernel_.cpu().Execute(LookupRegion());
-    const uint64_t bucket = std::hash<std::string_view>{}(r.name) % 64;
-    kernel_.cpu().AccessData(table_sim_addr_ + bucket * 64, 32, /*write=*/false);
-    LiteNameReply reply;
-    if (r.op == LiteNameOp::kRegister) {
-      if (req->rights.empty()) {
-        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      } else if (!entries_.emplace(r.name, req->rights.front()).second) {
-        reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
-      }
-      env.RpcReply(req->token, &reply, sizeof(reply));
-    } else if (r.op == LiteNameOp::kResolve) {
-      ++resolves_;
-      auto it = entries_.find(r.name);
-      if (it == entries_.end()) {
-        reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        env.RpcReply(req->token, &reply, sizeof(reply));
-      } else {
-        env.RpcReply(req->token, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second);
-      }
-    } else {
-      reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      env.RpcReply(req->token, &reply, sizeof(reply));
-    }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      return;
-    }
+void LiteNameServer::ChargeLookup(const LiteNameRequest& r) {
+  kernel_.cpu().Execute(LookupRegion());
+  const uint64_t bucket = std::hash<std::string_view>{}(r.name) % 64;
+  kernel_.cpu().AccessData(table_sim_addr_ + bucket * 64, 32, /*write=*/false);
+}
+
+void LiteNameServer::HandleRegister(mk::Env& env, const mk::RpcRequest& rpc,
+                                    const LiteNameRequest& r) {
+  ChargeLookup(r);
+  LiteNameReply reply;
+  if (rpc.rights.empty()) {
+    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+  } else if (!entries_.emplace(r.name, rpc.rights.front()).second) {
+    reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
+  }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void LiteNameServer::HandleResolve(mk::Env& env, const mk::RpcRequest& rpc,
+                                   const LiteNameRequest& r) {
+  ChargeLookup(r);
+  ++resolves_;
+  LiteNameReply reply;
+  auto it = entries_.find(r.name);
+  if (it == entries_.end()) {
+    reply.status = static_cast<int32_t>(base::Status::kNotFound);
+    env.RpcReply(rpc.token, &reply, sizeof(reply));
+  } else {
+    env.RpcReply(rpc.token, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second);
   }
 }
 

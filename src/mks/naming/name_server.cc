@@ -48,7 +48,19 @@ NameServer::NameServer(mk::Kernel& kernel, mk::Task* task) : kernel_(kernel), ta
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
-  kernel_.CreateThread(task_, "name-server", [this](mk::Env& env) { Serve(env); },
+  loop_ = std::make_unique<mk::ServerLoop<NameRequest>>(
+      receive_port_, "naming", sizeof(Attribute) * kMaxAttrsPerEntry,
+      std::vector<mk::LoopCode>{{"loop.naming", mk::Costs::kRpcServerLoop},
+                                {"stub.naming", mk::Costs::kRpcServerStub}});
+  loop_->Register(NameOp::kRegister, this, &NameServer::HandleRegister);
+  loop_->Register(NameOp::kResolve, this, &NameServer::HandleResolve);
+  loop_->Register(NameOp::kUnregister, this, &NameServer::HandleUnregister);
+  loop_->Register(NameOp::kList, this, &NameServer::HandleList);
+  loop_->Register(NameOp::kSearch, this, &NameServer::HandleSearch);
+  loop_->Register(NameOp::kSetAttr, this, &NameServer::HandleSetAttr);
+  loop_->Register(NameOp::kGetAttr, this, &NameServer::HandleGetAttr);
+  loop_->Register(NameOp::kWatch, this, &NameServer::HandleWatch);
+  kernel_.CreateThread(task_, "name-server", [this](mk::Env& env) { loop_->Run(env); },
                        mk::Thread::kDefaultPriority + 2);
 }
 
@@ -57,8 +69,6 @@ mk::PortName NameServer::GrantTo(mk::Task& client) {
   WPOS_CHECK(name.ok());
   return *name;
 }
-
-void NameServer::Stop() { running_ = false; }
 
 void NameServer::ChargeNameWalk(const std::string& name) {
   kernel_.cpu().Execute(ParseRegion());
@@ -73,72 +83,6 @@ void NameServer::ChargeNameWalk(const std::string& name) {
       if (it != entries_.end() && it->second.sim_addr != 0) {
         kernel_.cpu().AccessData(it->second.sim_addr, 48, /*write=*/false);
       }
-    }
-  }
-}
-
-void NameServer::Serve(mk::Env& env) {
-  std::vector<uint8_t> buf(sizeof(NameRequest));
-  std::vector<uint8_t> ref(sizeof(Attribute) * kMaxAttrsPerEntry);
-  static const hw::CodeRegion kLoop = hw::DefineCode("loop.naming", mk::Costs::kRpcServerLoop);
-  static const hw::CodeRegion kStub = hw::DefineCode("stub.naming", mk::Costs::kRpcServerStub);
-  while (true) {
-    mk::RpcRef rref;
-    rref.recv_buf = ref.data();
-    rref.recv_cap = static_cast<uint32_t>(ref.size());
-    auto req = env.RpcReceive(receive_port_, buf.data(), static_cast<uint32_t>(buf.size()), &rref);
-    if (!req.ok()) {
-      return;
-    }
-    kernel_.cpu().Execute(kLoop);
-    kernel_.cpu().Execute(kStub);
-    NameRequest r;
-    std::memcpy(&r, buf.data(), std::min<size_t>(req->req_len, sizeof(r)));
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(r.op));
-    op_span.set_end_payload(static_cast<uint64_t>(r.op));
-    tracer.LabelSpan(op_span.id(), "naming");
-    ++tracer.metrics().Counter("server.naming.ops");
-    switch (r.op) {
-      case NameOp::kRegister:
-        HandleRegister(env, *req, r, ref.data(), rref.recv_len);
-        break;
-      case NameOp::kResolve:
-        HandleResolve(env, *req, r);
-        break;
-      case NameOp::kUnregister:
-        HandleUnregister(env, *req, r);
-        break;
-      case NameOp::kList:
-        HandleList(env, *req, r);
-        break;
-      case NameOp::kSearch:
-        HandleSearch(env, *req, r);
-        break;
-      case NameOp::kSetAttr:
-        HandleSetAttr(env, *req, r);
-        break;
-      case NameOp::kGetAttr:
-        HandleGetAttr(env, *req, r);
-        break;
-      case NameOp::kWatch:
-        HandleWatch(env, *req, r);
-        break;
-      default: {
-        NameReply reply;
-        reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(req->token, &reply, sizeof(reply));
-      }
-    }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      return;
     }
   }
 }

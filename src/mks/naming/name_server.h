@@ -10,6 +10,7 @@
 #define SRC_MKS_NAMING_NAME_SERVER_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,7 @@ class NameServer {
   mk::PortName receive_port() const { return receive_port_; }
   // Gives `client` a send right to the service.
   mk::PortName GrantTo(mk::Task& client);
-  void Stop();
+  void Stop() { loop_->Stop(); }
 
   uint64_t resolves() const { return resolves_; }
   uint64_t registrations() const { return registrations_; }
@@ -45,7 +46,6 @@ class NameServer {
     mk::Port* port = nullptr;
   };
 
-  void Serve(mk::Env& env);
   void HandleRegister(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r,
                       const uint8_t* ref, uint32_t ref_len);
   void HandleResolve(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r);
@@ -64,11 +64,11 @@ class NameServer {
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop<NameRequest>> loop_;
   std::map<std::string, Node> entries_;
   std::vector<Watcher> watchers_;
   uint64_t resolves_ = 0;
   uint64_t registrations_ = 0;
-  bool running_ = true;
 };
 
 // Client-side library.

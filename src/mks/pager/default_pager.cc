@@ -21,7 +21,14 @@ DefaultPager::DefaultPager(mk::Kernel& kernel, mk::Task* task, std::unique_ptr<B
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
   port_raw_ = *kernel_.ResolvePort(*task_, receive_port_);
-  kernel_.CreateThread(task_, "default-pager", [this](mk::Env& env) { Serve(env); },
+  loop_ = std::make_unique<mk::ServerLoop<mk::PagerRequest>>(receive_port_, "pager",
+                                                             hw::kPageSize,
+                                                             std::vector<mk::LoopCode>{});
+  loop_->Register(mk::PagerOp::kDataRequest, this, &DefaultPager::HandlePageIn);
+  loop_->Register(mk::PagerOp::kDataWrite, this, &DefaultPager::HandlePageOut);
+  loop_->Register(mk::PagerOp::kObjectSetup, this, &DefaultPager::HandleSetup);
+  loop_->Register(mk::PagerOp::kObjectTerminate, this, &DefaultPager::HandleTerminate);
+  kernel_.CreateThread(task_, "default-pager", [this](mk::Env& env) { loop_->Run(env); },
                        mk::Thread::kDefaultPriority + 3);
 }
 
@@ -56,80 +63,62 @@ base::Status DefaultPager::Preload(uint64_t object_id, uint64_t page_index, cons
   return base::Status::kOk;
 }
 
-void DefaultPager::Serve(mk::Env& env) {
-  struct Buffers {
-    mk::PagerRequest req;
-    std::vector<uint8_t> page = std::vector<uint8_t>(hw::kPageSize);
-  } b;
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = b.page.data();
-    ref.recv_cap = static_cast<uint32_t>(b.page.size());
-    auto req = env.RpcReceive(receive_port_, &b.req, sizeof(b.req), &ref);
-    if (!req.ok()) {
-      return;
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(b.req.op));
-    op_span.set_end_payload(static_cast<uint64_t>(b.req.op));
-    tracer.LabelSpan(op_span.id(), "pager");
-    ++tracer.metrics().Counter("server.pager.ops");
-    kernel_.cpu().Execute(ServeRegion());
-    mk::PagerReply reply{};
-    if (b.req.op == mk::PagerOp::kDataRequest) {
-      ++pageins_served_;
-      ++tracer.metrics().Counter("server.pager.pageins");
-      const auto key = std::make_pair(b.req.object_id, b.req.page_index);
-      std::vector<uint8_t> out(hw::kPageSize, 0);
-      if (auto pre = preloaded_.find(key); pre != preloaded_.end()) {
-        out = pre->second;
-      } else {
-        const uint64_t lba = LbaFor(b.req.object_id, b.req.page_index, /*allocate=*/false);
-        if (lba != ~0ull) {
-          const base::Status st = store_->Read(env, lba, kSectorsPerPage, out.data());
-          if (st != base::Status::kOk) {
-            reply.status = static_cast<int32_t>(st);
-          }
-        }
-        // Never-written pages page in as zeros.
-      }
-      env.RpcReply(req->token, &reply, sizeof(reply), out.data(),
-                   static_cast<uint32_t>(out.size()));
-    } else if (b.req.op == mk::PagerOp::kDataWrite) {
-      ++pageouts_served_;
-      ++tracer.metrics().Counter("server.pager.pageouts");
-      if (ref.recv_len != hw::kPageSize) {
-        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      } else {
-        const uint64_t lba = LbaFor(b.req.object_id, b.req.page_index, /*allocate=*/true);
-        const base::Status st = store_->Write(env, lba, kSectorsPerPage, b.page.data());
+void DefaultPager::HandlePageIn(mk::Env& env, const mk::RpcRequest& rpc,
+                                const mk::PagerRequest& req) {
+  kernel_.cpu().Execute(ServeRegion());
+  ++pageins_served_;
+  ++kernel_.tracer().metrics().Counter("server.pager.pageins");
+  mk::PagerReply reply{};
+  const auto key = std::make_pair(req.object_id, req.page_index);
+  std::vector<uint8_t> out(hw::kPageSize, 0);
+  if (auto pre = preloaded_.find(key); pre != preloaded_.end()) {
+    out = pre->second;
+  } else {
+    const uint64_t lba = LbaFor(req.object_id, req.page_index, /*allocate=*/false);
+    if (lba != ~0ull) {
+      const base::Status st = store_->Read(env, lba, kSectorsPerPage, out.data());
+      if (st != base::Status::kOk) {
         reply.status = static_cast<int32_t>(st);
-        preloaded_.erase(std::make_pair(b.req.object_id, b.req.page_index));
       }
-      env.RpcReply(req->token, &reply, sizeof(reply));
-    } else if (b.req.op == mk::PagerOp::kObjectSetup) {
-      // Backing store allocates lazily; the init handshake is just an ack.
-      env.RpcReply(req->token, &reply, sizeof(reply));
-    } else if (b.req.op == mk::PagerOp::kObjectTerminate) {
-      const uint64_t gone = b.req.object_id;
-      std::erase_if(allocation_, [gone](const auto& kv) { return kv.first.first == gone; });
-      std::erase_if(preloaded_, [gone](const auto& kv) { return kv.first.first == gone; });
-      env.RpcReply(req->token, &reply, sizeof(reply));
-    } else {
-      reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      env.RpcReply(req->token, &reply, sizeof(reply));
     }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      return;
-    }
+    // Never-written pages page in as zeros.
   }
+  env.RpcReply(rpc.token, &reply, sizeof(reply), out.data(), static_cast<uint32_t>(out.size()));
+}
+
+void DefaultPager::HandlePageOut(mk::Env& env, const mk::RpcRequest& rpc,
+                                 const mk::PagerRequest& req, const uint8_t* page,
+                                 uint32_t page_len) {
+  kernel_.cpu().Execute(ServeRegion());
+  ++pageouts_served_;
+  ++kernel_.tracer().metrics().Counter("server.pager.pageouts");
+  mk::PagerReply reply{};
+  if (page_len != hw::kPageSize) {
+    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+  } else {
+    const uint64_t lba = LbaFor(req.object_id, req.page_index, /*allocate=*/true);
+    reply.status = static_cast<int32_t>(store_->Write(env, lba, kSectorsPerPage, page));
+    preloaded_.erase(std::make_pair(req.object_id, req.page_index));
+  }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void DefaultPager::HandleSetup(mk::Env& env, const mk::RpcRequest& rpc,
+                               const mk::PagerRequest&) {
+  // Backing store allocates lazily; the init handshake is just an ack.
+  kernel_.cpu().Execute(ServeRegion());
+  mk::PagerReply reply{};
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void DefaultPager::HandleTerminate(mk::Env& env, const mk::RpcRequest& rpc,
+                                   const mk::PagerRequest& req) {
+  kernel_.cpu().Execute(ServeRegion());
+  const uint64_t gone = req.object_id;
+  std::erase_if(allocation_, [gone](const auto& kv) { return kv.first.first == gone; });
+  std::erase_if(preloaded_, [gone](const auto& kv) { return kv.first.first == gone; });
+  mk::PagerReply reply{};
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
 }
 
 }  // namespace mks

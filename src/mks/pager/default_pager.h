@@ -14,6 +14,7 @@
 #include "src/hw/disk.h"
 #include "src/mk/kernel.h"
 #include "src/mk/pager_protocol.h"
+#include "src/mk/server_loop.h"
 
 namespace mks {
 
@@ -35,7 +36,7 @@ class DefaultPager {
 
   mk::Task* task() const { return task_; }
   mk::Port* port_raw() const { return port_raw_; }
-  void Stop() { running_ = false; }
+  void Stop() { loop_->Stop(); }
 
   // Creates a pager-backed object of `size` bytes registered with the kernel.
   std::shared_ptr<mk::VmObject> CreateBackedObject(uint64_t size);
@@ -49,20 +50,24 @@ class DefaultPager {
   uint64_t sectors_allocated() const { return next_lba_; }
 
  private:
-  void Serve(mk::Env& env);
+  void HandlePageIn(mk::Env& env, const mk::RpcRequest& rpc, const mk::PagerRequest& req);
+  void HandlePageOut(mk::Env& env, const mk::RpcRequest& rpc, const mk::PagerRequest& req,
+                     const uint8_t* page, uint32_t page_len);
+  void HandleSetup(mk::Env& env, const mk::RpcRequest& rpc, const mk::PagerRequest& req);
+  void HandleTerminate(mk::Env& env, const mk::RpcRequest& rpc, const mk::PagerRequest& req);
   uint64_t LbaFor(uint64_t object_id, uint64_t page_index, bool allocate);
 
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
   mk::Port* port_raw_ = nullptr;
+  std::unique_ptr<mk::ServerLoop<mk::PagerRequest>> loop_;
   std::unique_ptr<BlockStore> store_;
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> allocation_;  // (obj,page) -> lba
   std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>> preloaded_;
   uint64_t next_lba_ = 0;
   uint64_t pageins_served_ = 0;
   uint64_t pageouts_served_ = 0;
-  bool running_ = true;
 };
 
 // BlockStore over the disk's host backdoor, with the device latency modelled

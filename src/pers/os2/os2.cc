@@ -20,7 +20,15 @@ Os2Server::Os2Server(mk::Kernel& kernel, mk::Task* task) : kernel_(kernel), task
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
-  kernel_.CreateThread(task_, "os2-server", [this](mk::Env& env) { Serve(env); },
+  loop_ = std::make_unique<mk::ServerLoop<Os2Request>>(
+      receive_port_, "os2", /*max_ref=*/0,
+      std::vector<mk::LoopCode>{{"loop.os2", mk::Costs::kRpcServerLoop}});
+  loop_->Register(Os2Op::kExitProcess, this, &Os2Server::HandleExitProcess);
+  loop_->Register(Os2Op::kQueryProcess, this, &Os2Server::HandleQueryProcess);
+  loop_->Register(Os2Op::kCreateSem, this, &Os2Server::HandleCreateSem);
+  loop_->Register(Os2Op::kRequestSem, this, &Os2Server::HandleRequestSem);
+  loop_->Register(Os2Op::kReleaseSem, this, &Os2Server::HandleReleaseSem);
+  kernel_.CreateThread(task_, "os2-server", [this](mk::Env& env) { loop_->Run(env); },
                        mk::Thread::kDefaultPriority + 2);
 }
 
@@ -38,84 +46,74 @@ uint32_t Os2Server::RegisterProcess(const std::string& name) {
 
 void Os2Server::UnregisterProcess(uint32_t pid) { processes_.erase(pid); }
 
-void Os2Server::Serve(mk::Env& env) {
-  static const hw::CodeRegion kLoop = hw::DefineCode("loop.os2", mk::Costs::kRpcServerLoop);
-  Os2Request r;
-  while (true) {
-    auto rpc = env.RpcReceive(receive_port_, &r, sizeof(r));
-    if (!rpc.ok()) {
-      return;
-    }
-    kernel_.cpu().Execute(kLoop);
-    Os2Reply reply;
-    switch (r.op) {
-      case Os2Op::kExitProcess: {
-        auto it = processes_.find(r.pid);
-        if (it == processes_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        } else {
-          it->second.alive = false;
-          it->second.exit_code = static_cast<int32_t>(r.value);
-        }
-        break;
-      }
-      case Os2Op::kQueryProcess: {
-        auto it = processes_.find(r.pid);
-        if (it == processes_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        } else {
-          reply.value = it->second.alive ? 1 : 0;
-        }
-        break;
-      }
-      case Os2Op::kCreateSem: {
-        if (sem_ids_.contains(r.name)) {
-          reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
-        } else {
-          const uint32_t id = next_sem_++;
-          sem_ids_.emplace(r.name, id);
-          system_sems_.emplace(id, SystemSem{});
-          reply.value = id;
-        }
-        break;
-      }
-      case Os2Op::kRequestSem: {
-        auto it = system_sems_.find(r.value);
-        if (it == system_sems_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        } else if (it->second.count > 0) {
-          --it->second.count;
-        } else {
-          // Owner holds it: defer the reply; the release completes it. The
-          // server thread stays free to serve other processes meanwhile.
-          it->second.waiters.push_back(rpc->token);
-          continue;
-        }
-        break;
-      }
-      case Os2Op::kReleaseSem: {
-        auto it = system_sems_.find(r.value);
-        if (it == system_sems_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        } else if (!it->second.waiters.empty()) {
-          const uint64_t waiter = it->second.waiters.front();
-          it->second.waiters.pop_front();
-          Os2Reply granted;
-          (void)kernel_.RpcReply(waiter, &granted, sizeof(granted));
-        } else {
-          ++it->second.count;
-        }
-        break;
-      }
-      default:
-        reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-    }
-    env.RpcReply(rpc->token, &reply, sizeof(reply));
-    if (!running_) {
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      return;
-    }
+void Os2Server::HandleExitProcess(mk::Env& env, const mk::RpcRequest& rpc,
+                                  const Os2Request& r) {
+  Os2Reply reply;
+  auto it = processes_.find(r.pid);
+  if (it == processes_.end()) {
+    reply.status = static_cast<int32_t>(base::Status::kNotFound);
+  } else {
+    it->second.alive = false;
+    it->second.exit_code = static_cast<int32_t>(r.value);
   }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void Os2Server::HandleQueryProcess(mk::Env& env, const mk::RpcRequest& rpc,
+                                   const Os2Request& r) {
+  Os2Reply reply;
+  auto it = processes_.find(r.pid);
+  if (it == processes_.end()) {
+    reply.status = static_cast<int32_t>(base::Status::kNotFound);
+  } else {
+    reply.value = it->second.alive ? 1 : 0;
+  }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void Os2Server::HandleCreateSem(mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r) {
+  Os2Reply reply;
+  if (sem_ids_.contains(r.name)) {
+    reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
+  } else {
+    const uint32_t id = next_sem_++;
+    sem_ids_.emplace(r.name, id);
+    system_sems_.emplace(id, SystemSem{});
+    reply.value = id;
+  }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void Os2Server::HandleRequestSem(mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r) {
+  Os2Reply reply;
+  auto it = system_sems_.find(r.value);
+  if (it == system_sems_.end()) {
+    reply.status = static_cast<int32_t>(base::Status::kNotFound);
+  } else if (it->second.count > 0) {
+    --it->second.count;
+  } else {
+    // Owner holds it: defer the reply; the release completes it. The server
+    // thread stays free to serve other processes meanwhile.
+    it->second.waiters.push_back(rpc.token);
+    return;
+  }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void Os2Server::HandleReleaseSem(mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r) {
+  Os2Reply reply;
+  auto it = system_sems_.find(r.value);
+  if (it == system_sems_.end()) {
+    reply.status = static_cast<int32_t>(base::Status::kNotFound);
+  } else if (!it->second.waiters.empty()) {
+    const uint64_t waiter = it->second.waiters.front();
+    it->second.waiters.pop_front();
+    Os2Reply granted;
+    (void)kernel_.RpcReply(waiter, &granted, sizeof(granted));
+  } else {
+    ++it->second.count;
+  }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
 }
 
 Os2Process::Os2Process(mk::Kernel& kernel, Os2Server& server, svc::FileServer& fs,

@@ -48,18 +48,23 @@ class Os2Server {
   Os2Server(mk::Kernel& kernel, mk::Task* task);
 
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  void Stop() { loop_->Stop(); }
 
   uint32_t RegisterProcess(const std::string& name);
   void UnregisterProcess(uint32_t pid);
   size_t process_count() const { return processes_.size(); }
 
  private:
-  void Serve(mk::Env& env);
+  void HandleExitProcess(mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r);
+  void HandleQueryProcess(mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r);
+  void HandleCreateSem(mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r);
+  void HandleRequestSem(mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r);
+  void HandleReleaseSem(mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r);
 
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop<Os2Request>> loop_;
   struct Process {
     std::string name;
     int32_t exit_code = -1;
@@ -74,7 +79,6 @@ class Os2Server {
   std::map<uint32_t, SystemSem> system_sems_;
   uint32_t next_sem_ = 1;
   uint32_t next_pid_ = 2;  // pid 1 is the server itself, OS/2 style
-  bool running_ = true;
 };
 
 // One OS/2 process: a microkernel task plus the client-side libraries.

@@ -38,7 +38,36 @@ FileServer::FileServer(mk::Kernel& kernel, mk::Task* task, uint64_t handle_base)
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
-  kernel_.CreateThread(task_, "file-server", [this](mk::Env& env) { Serve(env); },
+  // kWriteV carries its extent table in front of the payload bytes.
+  loop_ = std::make_unique<mk::ServerLoop<FsRequest>>(
+      receive_port_, "fs", kFsMaxIo + kFsMaxExtents * sizeof(FsExtent),
+      std::vector<mk::LoopCode>{{"loop.fs", mk::Costs::kRpcServerLoop},
+                                {"stub.fs", mk::Costs::kRpcServerStub}});
+  loop_->Register(FsOp::kOpen, this, &FileServer::HandleOpen);
+  loop_->Register(FsOp::kClose, this, &FileServer::HandleClose);
+  loop_->Register(FsOp::kRead, this, &FileServer::HandleRead);
+  loop_->Register(FsOp::kWrite, this, &FileServer::HandleWrite);
+  loop_->Register(FsOp::kReadV, this, &FileServer::HandleReadV);
+  loop_->Register(FsOp::kWriteV, this, &FileServer::HandleWriteV);
+  loop_->Register(FsOp::kLock, this, &FileServer::HandleLock);
+  loop_->Register(FsOp::kUnlock, this, &FileServer::HandleLock);
+  loop_->Register(FsOp::kFsStat, this, &FileServer::HandleStat);
+  loop_->Register(FsOp::kMapObject, this, &FileServer::HandleMapObject);
+  loop_->Register(FsOp::kMapRelease, this, &FileServer::HandleMapRelease);
+  for (FsOp op : {FsOp::kGetAttr, FsOp::kSetSize, FsOp::kMkdir, FsOp::kReadDir, FsOp::kUnlink,
+                  FsOp::kRename, FsOp::kSetEa, FsOp::kGetEa, FsOp::kSync}) {
+    loop_->Register(op, this, &FileServer::HandlePathOp);
+  }
+  kernel_.CreateThread(task_, "file-server",
+                       [this](mk::Env& env) {
+                         loop_->Run(env);
+                         // Every exit must kill the pager port too, or the
+                         // fs-pager thread would park forever and the system
+                         // never halts cleanly.
+                         if (pager_loop_ != nullptr) {
+                           pager_loop_->Stop();
+                         }
+                       },
                        mk::Thread::kDefaultPriority + 2);
 }
 
@@ -72,27 +101,22 @@ mk::PortName FileServer::GrantTo(mk::Task& client) {
 }
 
 void FileServer::EnableMapping() {
-  if (pager_receive_port_ != mk::kNullPort) {
+  if (pager_loop_ != nullptr) {
     return;
   }
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
-  pager_receive_port_ = *port;
-  pager_port_raw_ = *kernel_.ResolvePort(*task_, pager_receive_port_);
-  kernel_.CreateThread(task_, "fs-pager", [this](mk::Env& env) { ServePager(env); },
+  pager_port_raw_ = *kernel_.ResolvePort(*task_, *port);
+  // Out: a full readahead batch. In: one page (a kDataWrite's payload).
+  pager_io_.resize(static_cast<size_t>(mk::Costs::kMmapReadaheadPages) * hw::kPageSize);
+  pager_loop_ = std::make_unique<mk::ServerLoop<mk::PagerRequest>>(
+      *port, "fs_pager", hw::kPageSize, std::vector<mk::LoopCode>{{"svc.fs.pager", 230}});
+  pager_loop_->Register(mk::PagerOp::kDataRequest, this, &FileServer::HandlePageIn);
+  pager_loop_->Register(mk::PagerOp::kDataWrite, this, &FileServer::HandlePageOut);
+  pager_loop_->Register(mk::PagerOp::kObjectSetup, this, &FileServer::HandleObjectSetup);
+  pager_loop_->Register(mk::PagerOp::kObjectTerminate, this, &FileServer::HandleObjectTerminate);
+  kernel_.CreateThread(task_, "fs-pager", [this](mk::Env& env) { pager_loop_->Run(env); },
                        mk::Thread::kDefaultPriority + 3);
-}
-
-void FileServer::TeardownPagerPort() {
-  // Every main-loop exit must kill the pager port too, or the fs-pager
-  // thread would park in RpcReceive forever and the system never halts
-  // cleanly. (Crash teardown needs no help: TerminateTask destroys every
-  // port of the task, which aborts the pager thread's receive the same way.)
-  if (pager_receive_port_ != mk::kNullPort) {
-    (void)kernel_.PortDestroy(*task_, pager_receive_port_);
-    pager_receive_port_ = mk::kNullPort;
-    pager_port_raw_ = nullptr;
-  }
 }
 
 void FileServer::InvalidateMappedRange(Mount* mount, NodeId node, uint64_t offset, uint64_t len) {
@@ -611,99 +635,77 @@ void FileServer::HandleMapRelease(mk::Env& env, const mk::RpcRequest& rpc, const
   env.RpcReply(rpc.token, &reply, sizeof(reply));
 }
 
-void FileServer::ServePager(mk::Env& env) {
-  static const hw::CodeRegion kPagerLoop = hw::DefineCode("svc.fs.pager", 230);
-  mk::PagerRequest req;
-  // Out: a full readahead batch. In: one page (a kDataWrite's payload).
-  std::vector<uint8_t> io(static_cast<size_t>(mk::Costs::kMmapReadaheadPages) * hw::kPageSize);
-  std::vector<uint8_t> page(hw::kPageSize);
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = page.data();
-    ref.recv_cap = static_cast<uint32_t>(page.size());
-    auto rpc = env.RpcReceive(pager_receive_port_, &req, sizeof(req), &ref);
-    if (!rpc.ok()) {
-      return;  // port torn down with the server
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(req.op));
-    op_span.set_end_payload(static_cast<uint64_t>(req.op));
-    tracer.LabelSpan(op_span.id(), "fs_pager");
-    ++tracer.metrics().Counter("server.fs.pager_ops");
-    kernel_.cpu().Execute(kPagerLoop);
-    mk::PagerReply reply{};
-    auto it = map_objects_.find(req.object_id);
-    switch (req.op) {
-      case mk::PagerOp::kDataRequest: {
-        if (it == map_objects_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc->token, &reply, sizeof(reply));
-          break;
-        }
-        MapObjectState& st = it->second;
-        const uint64_t object_pages = st.object->size() >> hw::kPageShift;
-        uint64_t want = 1;
-        if (st.object->dirty_tracking() && req.page_index < object_pages) {
-          want = std::min<uint64_t>(mk::Costs::kMmapReadaheadPages, object_pages - req.page_index);
-        }
-        const uint32_t bytes = static_cast<uint32_t>(want * hw::kPageSize);
-        std::memset(io.data(), 0, bytes);
-        // A short (or failed) read leaves zeros: pages at and past EOF map
-        // in as zeros, the same bytes read() can never return.
-        (void)st.mount->pfs->Read(env, st.node, req.page_index << hw::kPageShift, io.data(),
-                                  bytes);
-        ++pageins_;
-        env.RpcReply(rpc->token, &reply, sizeof(reply), io.data(), bytes);
-        break;
-      }
-      case mk::PagerOp::kDataWrite: {
-        if (it == map_objects_.end() || ref.recv_len != hw::kPageSize) {
-          reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc->token, &reply, sizeof(reply));
-          break;
-        }
-        MapObjectState& st = it->second;
-        const uint64_t offset = req.page_index << hw::kPageShift;
-        auto attr = st.mount->pfs->GetAttr(env, st.node);
-        const uint64_t limit = attr.ok() ? attr->size : 0;
-        if (offset < limit) {
-          // Writeback never extends the file: a mapped store past EOF is
-          // only durable up to the current size (msync through a session
-          // that also grows the file is the personality's business).
-          const uint32_t n =
-              static_cast<uint32_t>(std::min<uint64_t>(hw::kPageSize, limit - offset));
-          auto wrote = st.mount->pfs->Write(env, st.node, offset, page.data(), n);
-          if (!wrote.ok()) {
-            reply.status = static_cast<int32_t>(wrote.status());
-          }
-        }
-        ++pageouts_;
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
-        break;
-      }
-      case mk::PagerOp::kObjectSetup: {
-        if (it == map_objects_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        }
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
-        break;
-      }
-      case mk::PagerOp::kObjectTerminate: {
-        if (it != map_objects_.end()) {
-          node_map_.erase(NodeKey(it->second.mount, it->second.node));
-          map_objects_.erase(it);
-        }
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
-        break;
-      }
-      default:
-        reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+void FileServer::HandlePageIn(mk::Env& env, const mk::RpcRequest& rpc,
+                              const mk::PagerRequest& req) {
+  mk::PagerReply reply{};
+  auto it = map_objects_.find(req.object_id);
+  if (it == map_objects_.end()) {
+    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    return;
+  }
+  MapObjectState& st = it->second;
+  const uint64_t object_pages = st.object->size() >> hw::kPageShift;
+  uint64_t want = 1;
+  if (st.object->dirty_tracking() && req.page_index < object_pages) {
+    want = std::min<uint64_t>(mk::Costs::kMmapReadaheadPages, object_pages - req.page_index);
+  }
+  const uint32_t bytes = static_cast<uint32_t>(want * hw::kPageSize);
+  std::memset(pager_io_.data(), 0, bytes);
+  // A short (or failed) read leaves zeros: pages at and past EOF map in as
+  // zeros, the same bytes read() can never return.
+  (void)st.mount->pfs->Read(env, st.node, req.page_index << hw::kPageShift, pager_io_.data(),
+                            bytes);
+  ++pageins_;
+  env.RpcReply(rpc.token, &reply, sizeof(reply), pager_io_.data(), bytes);
+}
+
+void FileServer::HandlePageOut(mk::Env& env, const mk::RpcRequest& rpc,
+                               const mk::PagerRequest& req, const uint8_t* page,
+                               uint32_t page_len) {
+  mk::PagerReply reply{};
+  auto it = map_objects_.find(req.object_id);
+  if (it == map_objects_.end() || page_len != hw::kPageSize) {
+    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    return;
+  }
+  MapObjectState& st = it->second;
+  const uint64_t offset = req.page_index << hw::kPageShift;
+  auto attr = st.mount->pfs->GetAttr(env, st.node);
+  const uint64_t limit = attr.ok() ? attr->size : 0;
+  if (offset < limit) {
+    // Writeback never extends the file: a mapped store past EOF is only
+    // durable up to the current size (msync through a session that also
+    // grows the file is the personality's business).
+    const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(hw::kPageSize, limit - offset));
+    auto wrote = st.mount->pfs->Write(env, st.node, offset, page, n);
+    if (!wrote.ok()) {
+      reply.status = static_cast<int32_t>(wrote.status());
     }
   }
+  ++pageouts_;
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void FileServer::HandleObjectSetup(mk::Env& env, const mk::RpcRequest& rpc,
+                                   const mk::PagerRequest& req) {
+  mk::PagerReply reply{};
+  if (!map_objects_.contains(req.object_id)) {
+    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+  }
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void FileServer::HandleObjectTerminate(mk::Env& env, const mk::RpcRequest& rpc,
+                                       const mk::PagerRequest& req) {
+  auto it = map_objects_.find(req.object_id);
+  if (it != map_objects_.end()) {
+    node_map_.erase(NodeKey(it->second.mount, it->second.node));
+    map_objects_.erase(it);
+  }
+  mk::PagerReply reply{};
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
 }
 
 void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
@@ -882,145 +884,6 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
   }
   env.RpcReply(rpc.token, &reply, sizeof(reply));
-}
-
-void FileServer::Serve(mk::Env& env) {
-  static const hw::CodeRegion kLoop = hw::DefineCode("loop.fs", mk::Costs::kRpcServerLoop);
-  static const hw::CodeRegion kStub = hw::DefineCode("stub.fs", mk::Costs::kRpcServerStub);
-  FsRequest r;
-  // kWriteV carries its extent table in front of the payload bytes.
-  std::vector<uint8_t> ref_buf(kFsMaxIo + kFsMaxExtents * sizeof(FsExtent));
-  if (health_right_ != mk::kNullPort) {
-    SendHeartbeat(env);  // first beat arms the watchdog deadline
-  }
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = ref_buf.data();
-    ref.recv_cap = static_cast<uint32_t>(ref_buf.size());
-    const uint64_t receive_timeout = health_right_ != mk::kNullPort && heartbeat_every_ns_ != 0
-                                         ? heartbeat_every_ns_
-                                         : mk::kForever;
-    auto rpc = env.RpcReceive(receive_port_, &r, sizeof(r), &ref, receive_timeout);
-    if (!rpc.ok()) {
-      if (rpc.status() == base::Status::kTimedOut) {
-        if (!running_) {
-          // Stopped while idle: the timed receive doubles as the shutdown
-          // poll. Same teardown as the post-handler exit below.
-          (void)kernel_.PortDestroy(*task_, receive_port_);
-          TeardownPagerPort();
-          return;
-        }
-        SendHeartbeat(env);  // idle tick: nothing arrived within the interval
-        continue;
-      }
-      TeardownPagerPort();
-      return;
-    }
-    if (health_right_ != mk::kNullPort) {
-      ++requests_since_beat_;
-      if (requests_since_beat_ >= heartbeat_every_requests_ ||
-          (heartbeat_every_ns_ != 0 && env.NowNs() - last_beat_ns_ >= heartbeat_every_ns_)) {
-        SendHeartbeat(env);
-      }
-    }
-    // Fault point: handler entry, matching mk::ServerLoop's placement.
-    switch (kernel_.faults().Fire(mk::fault::FaultPoint::kServerHandlerEntry)) {
-      case mk::fault::FaultMode::kNone:
-        break;
-      case mk::fault::FaultMode::kCrashTask:
-        // Teardown destroys the receive port; queued and in-flight callers
-        // observe kPortDead and the restart manager (if any) takes over.
-        kernel_.TerminateTask(task_);
-        return;
-      case mk::fault::FaultMode::kDropReply:
-        continue;  // the client waits out its deadline
-      case mk::fault::FaultMode::kKillPort:
-        (void)kernel_.PortDestroy(*task_, receive_port_);
-        TeardownPagerPort();
-        return;
-      case mk::fault::FaultMode::kTransientError:
-        env.RpcReply(rpc->token, nullptr, 0, nullptr, 0, mk::kNullPort, base::Status::kBusy);
-        continue;
-      case mk::fault::FaultMode::kStallTask:
-        // Wedged mid-request: stop heartbeating and park forever. Only the
-        // watchdog's TerminateTask recovers this — the teardown fails this
-        // client and every queued caller with kPortDead.
-        (void)kernel_.StallForever();
-        return;  // reached only once task teardown aborts the stall
-      case mk::fault::FaultMode::kDelayReply:
-        (void)env.SleepNs(
-            kernel_.faults().DrawDelayNs(mk::fault::FaultPoint::kServerHandlerEntry));
-        break;
-      case mk::fault::FaultMode::kCount:
-        break;
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(r.op));
-    op_span.set_end_payload(static_cast<uint64_t>(r.op));
-    tracer.LabelSpan(op_span.id(), "fs");
-    ++tracer.metrics().Counter("server.fs.ops");
-    kernel_.cpu().Execute(kLoop);
-    kernel_.cpu().Execute(kStub);
-    switch (r.op) {
-      case FsOp::kOpen:
-        HandleOpen(env, *rpc, r);
-        break;
-      case FsOp::kClose:
-        HandleClose(env, *rpc, r);
-        break;
-      case FsOp::kRead:
-        HandleRead(env, *rpc, r);
-        break;
-      case FsOp::kWrite:
-        HandleWrite(env, *rpc, r, ref_buf.data(), ref.recv_len);
-        break;
-      case FsOp::kReadV:
-        HandleReadV(env, *rpc, r, ref_buf.data(), ref.recv_len);
-        break;
-      case FsOp::kWriteV:
-        HandleWriteV(env, *rpc, r, ref_buf.data(), ref.recv_len);
-        break;
-      case FsOp::kLock:
-      case FsOp::kUnlock:
-        HandleLock(env, *rpc, r);
-        break;
-      case FsOp::kFsStat:
-        HandleStat(env, *rpc, r);
-        break;
-      case FsOp::kMapObject:
-        HandleMapObject(env, *rpc, r);
-        break;
-      case FsOp::kMapRelease:
-        HandleMapRelease(env, *rpc, r);
-        break;
-      default:
-        HandlePathOp(env, *rpc, r);
-    }
-
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      TeardownPagerPort();
-      return;
-    }
-  }
-}
-
-void FileServer::SendHeartbeat(mk::Env& env) {
-  mk::HeartbeatPing ping{env.task().id()};
-  mk::MachMessage msg;
-  msg.msg_id = mk::kHeartbeatMsgId;
-  msg.dest = health_right_;
-  msg.inline_data.assign(reinterpret_cast<const uint8_t*>(&ping),
-                         reinterpret_cast<const uint8_t*>(&ping) + sizeof(ping));
-  // Zero timeout: a full or dead health port must never block the server.
-  (void)kernel_.MachMsgSend(std::move(msg), /*timeout_ns=*/0);
-  last_beat_ns_ = env.NowNs();
-  requests_since_beat_ = 0;
 }
 
 // --- Client ------------------------------------------------------------------------------

@@ -67,7 +67,9 @@ class NetServer {
 
   mk::PortName service_port() const { return service_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  // ServerLoop shutdown: the port dies at once; deferred receives then
+  // complete with kUnavailable (ResetConnections).
+  void Stop() { loop_->Stop(); }
 
   // Resets every socket with clean errors: receivers blocked in a deferred
   // RecvFrom complete with kUnavailable and queued datagrams are dropped.
@@ -81,7 +83,12 @@ class NetServer {
 
  private:
   void RxPump(mk::Env& env);
-  void Serve(mk::Env& env);
+  void HandleBind(mk::Env& env, const mk::RpcRequest& rpc, const NetRequest& req);
+  void HandleSendTo(mk::Env& env, const mk::RpcRequest& rpc, const NetRequest& req,
+                    const uint8_t* payload, uint32_t payload_len);
+  void HandleSendToV(mk::Env& env, const mk::RpcRequest& rpc, const NetRequest& req,
+                     const uint8_t* payload, uint32_t payload_len);
+  void HandleRecvFrom(mk::Env& env, const mk::RpcRequest& rpc, const NetRequest& req);
   base::Status DriverSend(mk::Env& env, const std::vector<uint8_t>& frame);
 
   mk::Kernel& kernel_;
@@ -91,6 +98,7 @@ class NetServer {
   std::unique_ptr<drv::TPortSenderWrapper> wrapper_;  // non-null if use_wrappers
   mk::PortName nic_service_;
   mk::PortName service_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop<NetRequest>> loop_;
 
   struct Socket {
     std::deque<Datagram> queue;
@@ -99,7 +107,6 @@ class NetServer {
   std::map<uint16_t, Socket> sockets_;
   uint64_t sent_ = 0;
   uint64_t delivered_ = 0;
-  bool running_ = true;
 };
 
 class NetClient {

@@ -12,12 +12,11 @@ const hw::CodeRegion& RegRegion() {
   return r;
 }
 
-RegRequest ParseRequest(const uint8_t* req, uint32_t req_len) {
-  RegRequest r;
-  std::memcpy(&r, req, req_len < sizeof(r) ? req_len : sizeof(r));
-  r.key[sizeof(r.key) - 1] = '\0';
-  r.value[sizeof(r.value) - 1] = '\0';
-  return r;
+// Request strings are fixed-size fields: read at most the field, so a
+// client that fills one without a terminator cannot run the server past it.
+template <size_t N>
+std::string Field(const char (&s)[N]) {
+  return std::string(s, strnlen(s, N));
 }
 }  // namespace
 
@@ -26,20 +25,11 @@ RegistryServer::RegistryServer(mk::Kernel& kernel, mk::Task* task)
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
-  loop_ = std::make_unique<mk::ServerLoop>(receive_port_, "svc.registry",
-                                           sizeof(RegRequest));
-  const auto with = [this](void (RegistryServer::*handler)(mk::Env&, const mk::RpcRequest&,
-                                                           const RegRequest&)) {
-    return [this, handler](mk::Env& env, const mk::RpcRequest& rpc, const uint8_t* req,
-                           const uint8_t* /*ref_data*/, uint32_t /*ref_len*/) {
-      kernel_.cpu().Execute(RegRegion());
-      (this->*handler)(env, rpc, ParseRequest(req, rpc.req_len));
-    };
-  };
-  loop_->Register(static_cast<uint32_t>(RegOp::kSet), with(&RegistryServer::HandleSet));
-  loop_->Register(static_cast<uint32_t>(RegOp::kGet), with(&RegistryServer::HandleGet));
-  loop_->Register(static_cast<uint32_t>(RegOp::kDelete), with(&RegistryServer::HandleDelete));
-  loop_->Register(static_cast<uint32_t>(RegOp::kList), with(&RegistryServer::HandleList));
+  loop_ = std::make_unique<mk::ServerLoop<RegRequest>>(receive_port_, "svc.registry");
+  loop_->Register(RegOp::kSet, this, &RegistryServer::HandleSet);
+  loop_->Register(RegOp::kGet, this, &RegistryServer::HandleGet);
+  loop_->Register(RegOp::kDelete, this, &RegistryServer::HandleDelete);
+  loop_->Register(RegOp::kList, this, &RegistryServer::HandleList);
   kernel_.CreateThread(task_, "registry", [this](mk::Env& env) { loop_->Run(env); },
                        mk::Thread::kDefaultPriority + 1);
 }
@@ -51,15 +41,17 @@ mk::PortName RegistryServer::GrantTo(mk::Task& client) {
 }
 
 void RegistryServer::HandleSet(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r) {
-  entries_[r.key] = r.value;
+  kernel_.cpu().Execute(RegRegion());
+  entries_[Field(r.key)] = Field(r.value);
   RegReply reply;
   reply.status = static_cast<int32_t>(base::Status::kOk);
   env.RpcReply(rpc.token, &reply, sizeof(reply));
 }
 
 void RegistryServer::HandleGet(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r) {
+  kernel_.cpu().Execute(RegRegion());
   RegReply reply;
-  auto it = entries_.find(r.key);
+  auto it = entries_.find(Field(r.key));
   if (it == entries_.end()) {
     reply.status = static_cast<int32_t>(base::Status::kNotFound);
   } else {
@@ -70,15 +62,17 @@ void RegistryServer::HandleGet(mk::Env& env, const mk::RpcRequest& rpc, const Re
 }
 
 void RegistryServer::HandleDelete(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r) {
+  kernel_.cpu().Execute(RegRegion());
   RegReply reply;
-  reply.status = static_cast<int32_t>(entries_.erase(r.key) == 0 ? base::Status::kNotFound
-                                                                 : base::Status::kOk);
+  const bool erased = entries_.erase(Field(r.key)) != 0;
+  reply.status = static_cast<int32_t>(erased ? base::Status::kOk : base::Status::kNotFound);
   env.RpcReply(rpc.token, &reply, sizeof(reply));
 }
 
 void RegistryServer::HandleList(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r) {
+  kernel_.cpu().Execute(RegRegion());
   std::string bulk;
-  const std::string prefix = std::string(r.key) + "/";
+  const std::string prefix = Field(r.key) + "/";
   uint32_t count = 0;
   for (const auto& [key, value] : entries_) {
     if (key.compare(0, prefix.size(), prefix) == 0 &&

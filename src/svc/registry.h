@@ -54,7 +54,7 @@ class RegistryServer {
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
-  std::unique_ptr<mk::ServerLoop> loop_;
+  std::unique_ptr<mk::ServerLoop<RegRequest>> loop_;
   std::map<std::string, std::string> entries_;
 };
 

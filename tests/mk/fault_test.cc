@@ -7,6 +7,7 @@
 //      that never heard of fault injection.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -21,6 +22,8 @@ namespace mk {
 namespace {
 
 constexpr uint32_t kEchoOp = 1;
+// Echo requests: up to 64 bytes, op code first.
+using EchoRequest = std::array<uint32_t, 16>;
 constexpr uint64_t kDeadlineNs = 5'000'000;  // 5 simulated ms per call
 
 struct EchoRun {
@@ -44,10 +47,10 @@ EchoRun RunEchoWorkload(int ops, const std::function<void(Kernel&)>& configure) 
   Task* client_task = kernel.CreateTask("client");
   auto recv = kernel.PortAllocate(*server_task);
   auto send = kernel.MakeSendRight(*server_task, *recv, *client_task);
-  auto loop = std::make_shared<ServerLoop>(*recv, "echo", 64);
-  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const uint8_t* req,
-                             const uint8_t*, uint32_t) {
-    env.RpcReply(request.token, req, request.req_len);
+  auto loop = std::make_shared<ServerLoop<EchoRequest>>(*recv, "echo");
+  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const EchoRequest& req,
+                             uint8_t*, uint32_t) {
+    env.RpcReply(request.token, req.data(), request.req_len);
   });
   kernel.CreateThread(server_task, "echo", [loop](Env& env) { loop->Run(env); });
   EchoRun out;
@@ -252,10 +255,10 @@ TEST(FaultInjectorTest, StallTaskWedgesUntilTerminated) {
   Task* client_task = kernel.CreateTask("client");
   auto recv = kernel.PortAllocate(*server_task);
   auto send = kernel.MakeSendRight(*server_task, *recv, *client_task);
-  auto loop = std::make_shared<ServerLoop>(*recv, "echo", 64);
-  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const uint8_t* req,
-                             const uint8_t*, uint32_t) {
-    env.RpcReply(request.token, req, request.req_len);
+  auto loop = std::make_shared<ServerLoop<EchoRequest>>(*recv, "echo");
+  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const EchoRequest& req,
+                             uint8_t*, uint32_t) {
+    env.RpcReply(request.token, req.data(), request.req_len);
   });
   kernel.CreateThread(server_task, "echo", [loop](Env& env) { loop->Run(env); });
   std::vector<base::Status> statuses;
@@ -293,10 +296,10 @@ TEST(FaultInjectorTest, RobustCallRidesThroughDroppedReply) {
   Task* client_task = kernel.CreateTask("client");
   auto recv = kernel.PortAllocate(*server_task);
   auto send = kernel.MakeSendRight(*server_task, *recv, *client_task);
-  auto loop = std::make_shared<ServerLoop>(*recv, "echo", 64);
-  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const uint8_t* req,
-                             const uint8_t*, uint32_t) {
-    env.RpcReply(request.token, req, request.req_len);
+  auto loop = std::make_shared<ServerLoop<EchoRequest>>(*recv, "echo");
+  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const EchoRequest& req,
+                             uint8_t*, uint32_t) {
+    env.RpcReply(request.token, req.data(), request.req_len);
   });
   kernel.CreateThread(server_task, "echo", [loop](Env& env) { loop->Run(env); });
   kernel.CreateThread(client_task, "client", [&, send = *send, loop](Env& env) {

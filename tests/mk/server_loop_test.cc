@@ -22,11 +22,8 @@ TEST_F(KernelTest, ServerLoopDispatchesByOpCode) {
   auto recv = kernel_.PortAllocate(*server_task);
   auto send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
 
-  ServerLoop loop(*recv, "calc");
-  loop.Register(1, [&](Env& env, const RpcRequest& req, const uint8_t* data, const uint8_t*,
-                       uint32_t) {
-    AddReq r;
-    std::memcpy(&r, data, sizeof(r));
+  ServerLoop<AddReq> loop(*recv, "calc");
+  loop.Register(1, [&](Env& env, const RpcRequest& req, const AddReq& r, uint8_t*, uint32_t) {
     AddRep rep{r.a + r.b};
     env.RpcReply(req.token, &rep, sizeof(rep));
   });
@@ -34,6 +31,7 @@ TEST_F(KernelTest, ServerLoopDispatchesByOpCode) {
 
   uint32_t sum = 0;
   base::Status unknown_status = base::Status::kOk;
+  base::Status after_stop = base::Status::kOk;
   kernel_.CreateThread(client_task, "c", [&, send = *send](Env& env) {
     ClientStub stub("calc.client", send);
     AddReq req{1, 20, 22};
@@ -44,11 +42,12 @@ TEST_F(KernelTest, ServerLoopDispatchesByOpCode) {
     AddReq bad{999, 0, 0};
     unknown_status = stub.Call(env, bad, &rep);
     loop.Stop();
-    (void)stub.Call(env, req, &rep);  // final call lets the loop exit
+    after_stop = stub.Call(env, req, &rep);
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(sum, 42u);
   EXPECT_EQ(unknown_status, base::Status::kNotSupported);
+  EXPECT_EQ(after_stop, base::Status::kPortDead);
 }
 
 // Stop() between receives takes effect immediately: the receive port dies,
@@ -59,8 +58,8 @@ TEST_F(KernelTest, ServerLoopStopKillsPort) {
   Task* client_task = kernel_.CreateTask("client");
   auto recv = kernel_.PortAllocate(*server_task);
   auto send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
-  ServerLoop loop(*recv, "oneshot");
-  loop.Register(1, [&](Env& env, const RpcRequest& req, const uint8_t*, const uint8_t*, uint32_t) {
+  ServerLoop<uint32_t> loop(*recv, "oneshot");
+  loop.Register(1, [&](Env& env, const RpcRequest& req, const uint32_t&, uint8_t*, uint32_t) {
     env.RpcReply(req.token, nullptr, 0);
   });
   kernel_.CreateThread(server_task, "s", [&](Env& env) { loop.Run(env); });
@@ -88,8 +87,8 @@ TEST_F(KernelTest, ServerLoopStopFailsQueuedCallers) {
   Task* client_task = kernel_.CreateTask("client");
   auto recv = kernel_.PortAllocate(*server_task);
   auto send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
-  ServerLoop loop(*recv, "shutdown");
-  loop.Register(2, [&](Env& env, const RpcRequest& req, const uint8_t*, const uint8_t*, uint32_t) {
+  ServerLoop<uint32_t> loop(*recv, "shutdown");
+  loop.Register(2, [&](Env& env, const RpcRequest& req, const uint32_t&, uint8_t*, uint32_t) {
     env.Yield();  // let the second caller queue up behind us
     loop.Stop();
     env.RpcReply(req.token, nullptr, 0);

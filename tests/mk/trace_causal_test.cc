@@ -5,6 +5,7 @@
 // tracer — the whole machinery charges zero simulated cycles.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -27,6 +28,8 @@ namespace mk {
 namespace {
 
 constexpr uint32_t kEchoOp = 1;
+// Echo requests: up to 64 bytes, op code first.
+using EchoRequest = std::array<uint32_t, 16>;
 
 // First span of `kind` (lowest id), or nullptr.
 const trace::Tracer::SpanMeta* FindSpan(Kernel& kernel, trace::SpanKind kind) {
@@ -70,15 +73,15 @@ struct EchoSystem {
     if (nested_over >= 0) {
       nested_send = GrantTo(static_cast<size_t>(nested_over), *task);
     }
-    auto loop = std::make_shared<ServerLoop>(*recv, name, 64);
+    auto loop = std::make_shared<ServerLoop<EchoRequest>>(*recv, name);
     loop->Register(kEchoOp, [nested_send](Env& env, const RpcRequest& request,
-                                          const uint8_t* req, const uint8_t*, uint32_t) {
+                                          const EchoRequest& req, uint8_t*, uint32_t) {
       if (nested_send != kNullPort) {
         uint32_t inner[2] = {kEchoOp, 7};
         uint32_t inner_reply[2] = {};
         (void)env.RpcCall(nested_send, inner, sizeof(inner), inner_reply, sizeof(inner_reply));
       }
-      env.RpcReply(request.token, req, request.req_len);
+      env.RpcReply(request.token, req.data(), request.req_len);
     });
     kernel_.CreateThread(task, "loop", [loop](Env& env) { loop->Run(env); });
     tasks_.push_back(task);
@@ -101,7 +104,7 @@ struct EchoSystem {
 
   Kernel& kernel_;
   std::vector<Task*> tasks_;
-  std::vector<std::shared_ptr<ServerLoop>> loops_;
+  std::vector<std::shared_ptr<ServerLoop<EchoRequest>>> loops_;
   std::vector<PortName> ports_;
 };
 
@@ -380,8 +383,6 @@ TEST(CausalTrace, UnixReadSpansPersonalityFsAndDriver) {
     ASSERT_TRUE(proc->Read(env, *fd, block, sizeof(block)).ok());
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
     fs.Stop();
-    svc::FsClient unblock(fs.GrantTo(*proc->task()));
-    (void)unblock.Sync(env);
     driver.Stop();
     kernel.TerminateTask(driver_task);
   });

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@ namespace mks {
 namespace {
 
 constexpr uint32_t kEchoOp = 1;
+// Echo requests: up to 64 bytes, op code first.
+using EchoRequest = std::array<uint32_t, 16>;
 constexpr char kName[] = "/svc/echo";
 
 class RestartTest : public mk::KernelTest {
@@ -40,10 +43,10 @@ class RestartTest : public mk::KernelTest {
     mk::Task* task = kernel_.CreateTask("echo-g" + std::to_string(gen));
     auto recv = kernel_.PortAllocate(*task);
     EXPECT_TRUE(recv.ok());
-    auto loop = std::make_shared<mk::ServerLoop>(*recv, "echo", 64);
-    loop->Register(kEchoOp, [](mk::Env& env, const mk::RpcRequest& request, const uint8_t* req,
-                               const uint8_t*, uint32_t) {
-      env.RpcReply(request.token, req, request.req_len);
+    auto loop = std::make_shared<mk::ServerLoop<EchoRequest>>(*recv, "echo");
+    loop->Register(kEchoOp, [](mk::Env& env, const mk::RpcRequest& request, const EchoRequest& req,
+                               uint8_t*, uint32_t) {
+      env.RpcReply(request.token, req.data(), request.req_len);
     });
     kernel_.CreateThread(task, "echo", [loop](mk::Env& env) { loop->Run(env); });
     tasks_.push_back(task);
@@ -80,11 +83,10 @@ class RestartTest : public mk::KernelTest {
     };
   }
 
-  void StopAll(mk::Env& env, NameClient& nc) {
+  void StopAll() {
     loops_.back()->Stop();
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");  // unblock the name server loop
   }
 
   mk::Task* ns_task_;
@@ -95,7 +97,7 @@ class RestartTest : public mk::KernelTest {
   mk::PortName ns_for_client_ = mk::kNullPort;
   std::vector<mk::Task*> tasks_;
   std::vector<mk::PortName> recvs_;
-  std::vector<std::shared_ptr<mk::ServerLoop>> loops_;
+  std::vector<std::shared_ptr<mk::ServerLoop<EchoRequest>>> loops_;
 };
 
 TEST_F(RestartTest, CrashRespawnsAndReRegistersUnderSameName) {
@@ -126,7 +128,7 @@ TEST_F(RestartTest, CrashRespawnsAndReRegistersUnderSameName) {
     EXPECT_EQ(reply[1], 2u);
     EXPECT_EQ(mgr_->restarts(kName), 1u);
     EXPECT_FALSE(mgr_->degraded(kName));
-    StopAll(env, nc);
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(mgr_->total_restarts(), 1u);
@@ -176,7 +178,6 @@ TEST_F(RestartTest, BudgetExhaustionDegradesCleanly) {
 
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.tracer().metrics().Counter(std::string("restart.") + kName + ".gave_up"), 1u);
@@ -192,7 +193,7 @@ TEST_F(RestartTest, WatchdogKillsWedgedServerAndRespawns) {
   kernel_.faults().Enable(5);
   // The first request wedges the serving thread forever.
   kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
-                       mk::fault::FaultMode::kStallTask, 100, /*max_fires=*/1);
+                       mk::fault::FaultMode::kStallTask, 100, /*max_fires=*/1, "echo");
   RestartPolicy policy;
   policy.heartbeat_deadline_ns = 2'000'000;  // 2 simulated ms of silence
   policy.backoff_initial_ns = 100'000;
@@ -224,7 +225,7 @@ TEST_F(RestartTest, WatchdogKillsWedgedServerAndRespawns) {
     EXPECT_EQ(mgr_->watchdog_kills(kName), 1u);
     EXPECT_EQ(mgr_->restarts(kName), 1u);
     EXPECT_FALSE(mgr_->degraded(kName));
-    StopAll(env, nc);
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.tracer().metrics().Counter(std::string("restart.") + kName +
@@ -265,8 +266,7 @@ TEST_F(RestartTest, IdleServerIsNotKilledByWatchdog) {
     uint32_t reply[2] = {};
     EXPECT_EQ(env.RpcCall(*right, req, sizeof(req), reply, sizeof(reply)), base::Status::kOk);
     EXPECT_EQ(reply[1], 9u);
-    NameClient nc(ns_for_client_);
-    StopAll(env, nc);
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
@@ -294,10 +294,8 @@ TEST_F(RestartTest, UnsupervisedStopIsNotKilledOrRespawned) {
     EXPECT_EQ(mgr_->total_restarts(), 0u);
     EXPECT_EQ(kernel_.tracer().metrics().Counter("restart.watchdog_kills"), 0u);
     EXPECT_EQ(tasks_.size(), 1u);  // no orphan generation spawned
-    NameClient nc(ns_for_client_);
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
@@ -336,7 +334,7 @@ TEST_F(RestartTest, ResetBudgetRevivesDegradedServer) {
     ASSERT_EQ(mk::RpcCallRobust(env, resolver, &cached, req, sizeof(req), reply, sizeof(reply)),
               base::Status::kOk);
     EXPECT_EQ(reply[1], 5u);
-    StopAll(env, nc);
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.tracer().metrics().Counter(std::string("restart.") + kName + ".revived"), 1u);
@@ -362,11 +360,7 @@ TEST_F(RestartTest, RespawnsWithoutNameService) {
     uint32_t reply[2] = {};
     EXPECT_EQ(env.RpcCall(*right, req, sizeof(req), reply, sizeof(reply)), base::Status::kOk);
     EXPECT_EQ(reply[1], 7u);
-    loops_.back()->Stop();
-    mgr_->Stop();
-    ns_->Stop();
-    NameClient nc(ns_for_client_);
-    (void)nc.Resolve(env, "/x");
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);

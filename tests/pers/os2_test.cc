@@ -26,11 +26,9 @@ class Os2Test : public mk::KernelTest {
   }
 
   void Shutdown(mk::Env& env, Os2Process& proc) {
+    (void)proc.DosExit(env, 0);
     fs_->Stop();
     os2_->Stop();
-    (void)proc.DosExit(env, 0);
-    svc::FsClient unblock(fs_->GrantTo(*proc.task()));
-    (void)unblock.Sync(env);
   }
 
   hw::Disk* disk_;

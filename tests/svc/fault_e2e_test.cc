@@ -103,7 +103,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
   // ~120 handler entries at 10% with a cap of 2 crashes: virtually every
   // seed fires at least once, no seed can exceed the restart budget.
   kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
-                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2);
+                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2, "fs");
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
     mks::NameClient nc(ns_for_client_);
@@ -133,11 +133,8 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
     // Orderly shutdown of whatever generation is serving now.
     kernel_.faults().DisarmAll();
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/campaign.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 
@@ -171,7 +168,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
   const uint64_t seed = CampaignSeed();
   kernel_.faults().Enable(seed);
   kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
-                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2);
+                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2, "fs");
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
     mks::NameClient nc(ns_for_client_);
@@ -221,11 +218,8 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
 
     kernel_.faults().DisarmAll();
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/cached-campaign.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 
@@ -289,11 +283,8 @@ TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
 
     kernel_.faults().DisarmAll();
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/bulk-campaign.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_GT(kernel_.tracer().metrics().Counter("mk.rpc.ool_transfers"), 0u);

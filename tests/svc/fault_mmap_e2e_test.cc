@@ -154,10 +154,11 @@ TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
               base::Status::kOk);
     EXPECT_EQ(mapped->dirty_pages(), 1u);
 
-    // Kill the serving instance on its next main-port request. The pager
-    // loop has no fault point, so the crash lands on the session op below.
+    // Kill the serving instance on its next main-port request. Arming is
+    // scoped to the main loop ("fs"), not the pager loop ("fs_pager"), so
+    // the crash lands on the session op below.
     kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
-                         mk::fault::FaultMode::kCrashTask, 100, /*max_fires=*/1);
+                         mk::fault::FaultMode::kCrashTask, 100, /*max_fires=*/1, "fs");
     auto attr = session.Stat(env, *handle);
     ASSERT_TRUE(attr.ok()) << base::StatusName(attr.status());
     kernel_.faults().DisarmAll();
@@ -211,11 +212,8 @@ TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
     ASSERT_EQ(session.Close(env, *handle), base::Status::kOk);
 
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/mapped.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(mgr_->total_restarts(), 1u);
@@ -231,7 +229,7 @@ TEST_F(FaultMmapE2eTest, MappedReadsStayCoherentAcrossRandomCrashes) {
   const uint64_t seed = CampaignSeed();
   kernel_.faults().Enable(seed);
   kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
-                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2);
+                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2, "fs");
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
     mks::NameClient nc(ns_for_client_);
@@ -311,11 +309,8 @@ TEST_F(FaultMmapE2eTest, MappedReadsStayCoherentAcrossRandomCrashes) {
 
     kernel_.faults().DisarmAll();
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/soak.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 

@@ -167,7 +167,7 @@ TEST_F(StallE2eTest, WedgedServerIsShedKilledAndRestartedUnderClientsNoses) {
         auto w = session.Write(env, *handle, 0, warm, sizeof(warm));
         ASSERT_TRUE(w.ok());
         kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
-                             mk::fault::FaultMode::kStallTask, 100, /*max_fires=*/1);
+                             mk::fault::FaultMode::kStallTask, 100, /*max_fires=*/1, "fs");
       }
 
       for (uint32_t i = 0; i < kRecords; ++i) {
@@ -201,13 +201,11 @@ TEST_F(StallE2eTest, WedgedServerIsShedKilledAndRestartedUnderClientsNoses) {
         kills_at_shutdown = mgr_->watchdog_kills(kFsName);
         // Deliberate shutdown must be withdrawn from supervision first, or
         // the watchdog would mistake the stopped server for a wedged one and
-        // respawn an orphan. The serve loop notices Stop() on its next
-        // heartbeat tick, so no unblocking call is needed.
+        // respawn an orphan.
         mgr_->Unsupervise(kFsName);
         servers_.back()->Stop();
         mgr_->Stop();
         ns_->Stop();
-        (void)nc.Resolve(env, "/x");  // unblock the name server's forever-park
       }
     });
   }

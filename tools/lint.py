@@ -40,6 +40,12 @@ Checks, over every header and source file under src/ and tests/:
      between libc++/libstdc++ and across runs with pointer keys). An
      unordered loop whose order provably does not escape may carry an
      `unordered-ok:` comment on the loop line or the line above.
+  7. One server loop: RpcReceive( and RpcReplyAndReceive( appear in src/
+     only under src/mk/. Every server serves through mk::ServerLoop
+     (src/mk/server_loop.h), which owns the fault point, the op span, the
+     heartbeat, shutdown and survival of oversized requests; a hand-rolled
+     loop silently drops all of them. bench/ (the Table 2 null server),
+     examples/ and tests/ may call the kernel primitives directly.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -53,6 +59,7 @@ SCAN_DIRS = ("src", "tests", "bench")
 COSTS_HEADER = Path("src") / "mk" / "costs.h"
 TRACE_EVENTS_HEADER = Path("src") / "mk" / "trace" / "events.h"
 FAULT_POINTS_HEADER = Path("src") / "mk" / "fault" / "points.h"
+SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
 
 DETERMINISM_SCOPES = (Path("src") / "mk", Path("src") / "svc", Path("src") / "pers")
 DETERMINISM_EXEMPT = {Path("src") / "mk" / "host.cc"}
@@ -164,6 +171,21 @@ def check_fault_points(
             )
         else:
             used.setdefault(enum_name, set()).add(member)
+
+
+RPC_RECEIVE_RE = re.compile(r"\b(RpcReceive|RpcReplyAndReceive)\s*\(")
+
+
+def check_server_loops(rel_path: Path, text: str, errors: list) -> None:
+    if rel_path.parts[0] != "src" or rel_path.parts[:2] == ("src", "mk"):
+        return
+    code = re.sub(r"//[^\n]*", "", text)
+    for match in RPC_RECEIVE_RE.finditer(code):
+        line = code.count("\n", 0, match.start()) + 1
+        errors.append(
+            f"{rel_path}:{line}: {match.group(1)}() outside src/mk — serve RPCs through "
+            f"mk::ServerLoop ({SERVER_LOOP_HEADER}), not a hand-rolled receive loop"
+        )
 
 
 FAULT_REGISTRY_SENTINELS = {"kNone", "kCount"}
@@ -308,6 +330,7 @@ def lint_file(
     check_costs_definition(rel_path, text, errors)
     check_trace_events(rel_path, text, errors, trace_registry, trace_used)
     check_fault_points(rel_path, text, errors, fault_registry, fault_used)
+    check_server_loops(rel_path, text, errors)
     check_determinism(rel_path, text, errors, accessors)
     return errors
 
