@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/mk/pager_protocol.h"
@@ -52,9 +53,10 @@ FileServer::FileServer(mk::Kernel& kernel, mk::Task* task, uint64_t handle_base)
   loop_->Register(FsOp::kLock, this, &FileServer::HandleLock);
   loop_->Register(FsOp::kUnlock, this, &FileServer::HandleLock);
   loop_->Register(FsOp::kFsStat, this, &FileServer::HandleStat);
+  loop_->Register(FsOp::kSetSize, this, &FileServer::HandleSetSize);
   loop_->Register(FsOp::kMapObject, this, &FileServer::HandleMapObject);
   loop_->Register(FsOp::kMapRelease, this, &FileServer::HandleMapRelease);
-  for (FsOp op : {FsOp::kGetAttr, FsOp::kSetSize, FsOp::kMkdir, FsOp::kReadDir, FsOp::kUnlink,
+  for (FsOp op : {FsOp::kGetAttr, FsOp::kMkdir, FsOp::kReadDir, FsOp::kUnlink,
                   FsOp::kRename, FsOp::kSetEa, FsOp::kGetEa, FsOp::kSync}) {
     loop_->Register(op, this, &FileServer::HandlePathOp);
   }
@@ -549,8 +551,8 @@ void FileServer::HandleLock(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
 void FileServer::HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
   // Handle-based GetAttr: no path walk, so a hot stat (fstat, SEEK_END,
   // O_APPEND positioning) costs one table lookup instead of a name walk.
-  // A stale handle answers kInvalidArgument, the same signal the robust
-  // session already re-opens on.
+  // A stale handle answers kInvalidArgument, the same signal a name-bound
+  // FsClient re-opens on.
   FsReply reply;
   kernel_.cpu().Execute(UnionSemRegion());
   auto it = open_files_.find(r.handle);
@@ -705,6 +707,24 @@ void FileServer::HandleObjectTerminate(mk::Env& env, const mk::RpcRequest& rpc,
     map_objects_.erase(it);
   }
   mk::PagerReply reply{};
+  env.RpcReply(rpc.token, &reply, sizeof(reply));
+}
+
+void FileServer::HandleSetSize(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
+  // Handle-based: the request carries no path to resolve.
+  FsReply reply;
+  kernel_.cpu().Execute(UnionSemRegion());
+  auto it = open_files_.find(r.handle);
+  if (it == open_files_.end()) {
+    reply.status = static_cast<int32_t>(base::Status::kNotFound);
+  } else {
+    reply.status =
+        static_cast<int32_t>(it->second.mount->pfs->SetSize(env, it->second.node, r.offset));
+    if (reply.status == 0) {
+      // Resizing moves EOF under every mapped view: drop all clean pages.
+      InvalidateMappedRange(it->second.mount, it->second.node, 0, ~0ull);
+    }
+  }
   env.RpcReply(rpc.token, &reply, sizeof(reply));
 }
 
@@ -866,20 +886,6 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
       }
       break;
     }
-    case FsOp::kSetSize: {
-      auto it = open_files_.find(r.handle);
-      if (it == open_files_.end()) {
-        reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        break;
-      }
-      reply.status = static_cast<int32_t>(
-          it->second.mount->pfs->SetSize(env, it->second.node, r.offset));
-      if (reply.status == 0) {
-        // Resizing moves EOF under every mapped view: drop all clean pages.
-        InvalidateMappedRange(it->second.mount, it->second.node, 0, ~0ull);
-      }
-      break;
-    }
     default:
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
   }
@@ -888,8 +894,103 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
 
 // --- Client ------------------------------------------------------------------------------
 
+FsClient::FsClient(mk::PortName service, uint64_t call_timeout_ns)
+    : stub_(std::in_place, "svc.fs.client", service) {
+  stub_->set_default_timeout_ns(call_timeout_ns);
+}
+
+FsClient::FsClient(mk::PortName name_service, std::string fs_name,
+                   const mk::RobustCallOptions& opts)
+    : names_(std::in_place, name_service), fs_name_(std::move(fs_name)), opts_(opts) {}
+
+void FsClient::set_call_timeout_ns(uint64_t ns) {
+  if (stub_.has_value()) {
+    stub_->set_default_timeout_ns(ns);
+  } else {
+    opts_.attempt_timeout_ns = ns;
+  }
+}
+
 void FsClient::EnableCache(const FsCacheOptions& opts) {
   cache_ = std::make_unique<FsCache>(opts);
+}
+
+base::Status FsClient::Call(mk::Env& env, const FsRequest& r, FsReply* reply, mk::RpcRef* ref) {
+  if (stub_.has_value()) {
+    return stub_->Call(env, r, reply, ref);
+  }
+  const auto resolver = [this](mk::Env& e) -> base::Result<mk::PortName> {
+    // Every resolution starts a new epoch: handles obtained before it may
+    // name an instance that is gone.
+    ++epoch_;
+    // Name cache first. One-shot (TakeName): the robust loop re-invokes the
+    // resolver precisely when the right it last handed out failed, so a name
+    // is never served twice — the retry always reaches the name server,
+    // which knows the respawned instance.
+    if (cache_ != nullptr) {
+      mk::PortName cached = mk::kNullPort;
+      if (cache_->TakeName(fs_name_, &cached)) {
+        return cached;
+      }
+    }
+    auto right = names_->Resolve(e, fs_name_);
+    if (right.ok() && cache_ != nullptr) {
+      cache_->StoreName(fs_name_, *right);
+    }
+    return right;
+  };
+  return mk::RpcCallRobust(env, resolver, &resolved_, &r, sizeof(r), reply, sizeof(*reply), opts_,
+                           nullptr, ref);
+}
+
+base::Status FsClient::CallHandle(mk::Env& env, uint64_t handle, FsRequest& r, FsReply* reply,
+                                  mk::RpcRef* ref) {
+  auto it = opens_.find(handle);
+  for (int attempt = 0;; ++attempt) {
+    // A handle this client never opened (e.g. inherited across Fork) is
+    // the server's own and goes out as-is.
+    r.handle = it == opens_.end() ? handle : it->second.server_handle;
+    const base::Status st = Call(env, r, reply, ref);
+    if (st != base::Status::kOk) {
+      return st;
+    }
+    const auto app = static_cast<base::Status>(reply->status);
+    // The server's answer for a handle it never issued: kInvalidArgument
+    // from the I/O ops, kNotFound from SetSize and the lock ops.
+    const bool unknown = app == base::Status::kInvalidArgument || app == base::Status::kNotFound;
+    if (attempt > 0 || !unknown || it == opens_.end() || it->second.epoch == epoch_) {
+      return base::Status::kOk;
+    }
+    const base::Status ro = Reopen(env, it->second);
+    if (ro != base::Status::kOk) {
+      return ro;
+    }
+  }
+}
+
+base::Status FsClient::Reopen(mk::Env& env, OpenRecord& rec) {
+  // The server we cached against is gone: everything clean is suspect.
+  if (cache_ != nullptr) {
+    cache_->BumpGeneration();
+  }
+  FsRequest r;
+  r.op = FsOp::kOpen;
+  // The file exists and holds data we must keep.
+  r.flags = rec.flags & ~(kFsExclusive | kFsTruncate);
+  r.share = rec.share;
+  r.SetPath(rec.path.c_str());
+  FsReply reply;
+  const base::Status st = Call(env, r, &reply);
+  if (st != base::Status::kOk) {
+    return st;
+  }
+  if (reply.status != 0) {
+    return static_cast<base::Status>(reply.status);
+  }
+  rec.server_handle = reply.handle;
+  rec.epoch = epoch_;
+  ++reopens_;
+  return base::Status::kOk;
 }
 
 base::Result<uint64_t> FsClient::Open(mk::Env& env, const std::string& path, uint32_t flags,
@@ -900,14 +1001,14 @@ base::Result<uint64_t> FsClient::Open(mk::Env& env, const std::string& path, uin
   r.share = share;
   r.SetPath(path.c_str());
   FsReply reply;
-  mk::PortName granted = mk::kNullPort;
-  const base::Status st = stub_.Call(env, r, &reply, nullptr, nullptr, 0, &granted);
+  const base::Status st = Call(env, r, &reply);
   if (st != base::Status::kOk) {
     return st;
   }
   if (reply.status != 0) {
     return static_cast<base::Status>(reply.status);
   }
+  opens_[reply.handle] = OpenRecord{path, flags, share, reply.handle, epoch_};
   if (cache_ != nullptr) {
     // The open reply already carries the attributes: the first Stat is free.
     cache_->PrimeAttr(reply.handle,
@@ -918,18 +1019,28 @@ base::Result<uint64_t> FsClient::Open(mk::Env& env, const std::string& path, uin
 
 base::Status FsClient::Close(mk::Env& env, uint64_t handle) {
   if (cache_ != nullptr) {
-    // Flush the handle's write-behind run while the handle is still open.
+    // Flush the handle's write-behind run while the handle is still open
+    // (a re-binding mid-flush re-opens it).
     const base::Status fl = cache_->CloseHandle(env, *this, handle);
     if (fl != base::Status::kOk) {
       return fl;
     }
   }
+  const auto rec = opens_.extract(handle);
   FsRequest r;
   r.op = FsOp::kClose;
-  r.handle = handle;
+  r.handle = rec.empty() ? handle : rec.mapped().server_handle;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  const base::Status st = Call(env, r, &reply);
+  if (st != base::Status::kOk) {
+    return st;
+  }
+  const auto app = static_cast<base::Status>(reply.status);
+  if (app == base::Status::kNotFound && !rec.empty() && rec.mapped().epoch != epoch_) {
+    // The open died with the instance that granted it: nothing to close.
+    return base::Status::kOk;
+  }
+  return app;
 }
 
 base::Result<uint32_t> FsClient::Read(mk::Env& env, uint64_t handle, uint64_t offset, void* out,
@@ -944,14 +1055,13 @@ base::Result<uint32_t> FsClient::CacheRead(mk::Env& env, uint64_t handle, uint64
                                            void* out, uint32_t len) {
   FsRequest r;
   r.op = FsOp::kRead;
-  r.handle = handle;
   r.offset = offset;
   r.len = std::min(len, kFsMaxIo);
   FsReply reply;
   mk::RpcRef ref;
   ref.recv_buf = out;
   ref.recv_cap = len;
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = CallHandle(env, handle, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -973,14 +1083,13 @@ base::Result<uint32_t> FsClient::CacheWrite(mk::Env& env, uint64_t handle, uint6
                                             const void* data, uint32_t len) {
   FsRequest r;
   r.op = FsOp::kWrite;
-  r.handle = handle;
   r.offset = offset;
   r.len = std::min(len, kFsMaxIo);  // short write past the cap, like Read
   FsReply reply;
   mk::RpcRef ref;
   ref.send_data = data;
   ref.send_len = r.len;
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = CallHandle(env, handle, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1015,7 +1124,6 @@ base::Result<uint32_t> FsClient::ReadV(mk::Env& env, uint64_t handle,
   }
   FsRequest r;
   r.op = FsOp::kReadV;
-  r.handle = handle;
   r.extent_count = count;
   r.len = static_cast<uint32_t>(total);
   // The extent table rides out in the ref's send direction; the concatenated
@@ -1027,7 +1135,7 @@ base::Result<uint32_t> FsClient::ReadV(mk::Env& env, uint64_t handle,
   ref.send_len = static_cast<uint32_t>(count * sizeof(FsExtent));
   ref.recv_buf = data.data();
   ref.recv_cap = static_cast<uint32_t>(data.size());
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = CallHandle(env, handle, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1077,14 +1185,13 @@ base::Result<uint32_t> FsClient::WriteV(mk::Env& env, uint64_t handle,
   }
   FsRequest r;
   r.op = FsOp::kWriteV;
-  r.handle = handle;
   r.extent_count = count;
   r.len = static_cast<uint32_t>(total);
   FsReply reply;
   mk::RpcRef ref;
   ref.send_data = bulk.data();
   ref.send_len = static_cast<uint32_t>(bulk.size());
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = CallHandle(env, handle, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1099,7 +1206,7 @@ base::Result<FileAttr> FsClient::GetAttr(mk::Env& env, const std::string& path) 
   r.op = FsOp::kGetAttr;
   r.SetPath(path.c_str());
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, r, &reply);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1119,9 +1226,8 @@ base::Result<FileAttr> FsClient::Stat(mk::Env& env, uint64_t handle) {
 base::Result<FileAttr> FsClient::CacheStat(mk::Env& env, uint64_t handle) {
   FsRequest r;
   r.op = FsOp::kFsStat;
-  r.handle = handle;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = CallHandle(env, handle, r, &reply);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1143,10 +1249,9 @@ base::Status FsClient::SetSize(mk::Env& env, uint64_t handle, uint64_t size) {
   }
   FsRequest r;
   r.op = FsOp::kSetSize;
-  r.handle = handle;
   r.offset = size;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = CallHandle(env, handle, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 
@@ -1155,7 +1260,7 @@ base::Status FsClient::Mkdir(mk::Env& env, const std::string& path) {
   r.op = FsOp::kMkdir;
   r.SetPath(path.c_str());
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 
@@ -1168,7 +1273,7 @@ base::Result<std::vector<DirEntry>> FsClient::ReadDir(mk::Env& env, const std::s
   mk::RpcRef ref;
   ref.recv_buf = wire.data();
   ref.recv_cap = static_cast<uint32_t>(wire.size() * sizeof(FsDirEntryWire));
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = Call(env, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1187,7 +1292,7 @@ base::Status FsClient::Unlink(mk::Env& env, const std::string& path) {
   r.op = FsOp::kUnlink;
   r.SetPath(path.c_str());
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 
@@ -1197,7 +1302,7 @@ base::Status FsClient::Rename(mk::Env& env, const std::string& from, const std::
   r.SetPath(from.c_str());
   r.SetPath2(to.c_str());
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 
@@ -1214,12 +1319,11 @@ base::Status FsClient::Lock(mk::Env& env, uint64_t handle, uint64_t start, uint6
   }
   FsRequest r;
   r.op = FsOp::kLock;
-  r.handle = handle;
   r.offset = start;
   r.len = static_cast<uint32_t>(len);
   r.lock_exclusive = exclusive ? 1 : 0;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = CallHandle(env, handle, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 
@@ -1233,11 +1337,10 @@ base::Status FsClient::Unlock(mk::Env& env, uint64_t handle, uint64_t start, uin
   }
   FsRequest r;
   r.op = FsOp::kUnlock;
-  r.handle = handle;
   r.offset = start;
   r.len = static_cast<uint32_t>(len);
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = CallHandle(env, handle, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 
@@ -1254,7 +1357,7 @@ base::Status FsClient::SetEa(mk::Env& env, const std::string& path, const std::s
   std::memcpy(r.path2, key.c_str(), key.size() + 1);
   std::memcpy(r.path2 + key.size() + 1, value.c_str(), value.size() + 1);
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 
@@ -1269,7 +1372,7 @@ base::Result<std::string> FsClient::GetEa(mk::Env& env, const std::string& path,
   mk::RpcRef ref;
   ref.recv_buf = value;
   ref.recv_cap = sizeof(value) - 1;
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = Call(env, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1290,10 +1393,9 @@ base::Result<FsMapping> FsClient::MapObject(mk::Env& env, uint64_t handle, uint6
   }
   FsRequest r;
   r.op = FsOp::kMapObject;
-  r.handle = handle;
   r.len = static_cast<uint32_t>(min_len);
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = CallHandle(env, handle, r, &reply);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1308,7 +1410,7 @@ base::Result<uint32_t> FsClient::UnmapObject(mk::Env& env, uint64_t object_id) {
   r.op = FsOp::kMapRelease;
   r.handle = object_id;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, r, &reply);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -1336,7 +1438,7 @@ base::Status FsClient::Sync(mk::Env& env) {
   r.op = FsOp::kSync;
   r.SetPath("/");
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 

@@ -15,12 +15,15 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/mk/kernel.h"
 #include "src/mk/pager_protocol.h"
+#include "src/mk/rpc_robust.h"
 #include "src/mk/server_loop.h"
+#include "src/mks/naming/name_server.h"
 #include "src/svc/fs/fs_cache.h"
 #include "src/svc/fs/pfs.h"
 #include "src/svc/fs/protocol.h"
@@ -32,7 +35,7 @@ class FileServer {
   // `handle_base` is where handle numbering starts. A restart factory passes
   // a per-generation base so a client's stale handle from the crashed
   // instance can never alias a live handle on the respawn — it fails with
-  // kInvalidArgument and the robust session re-opens.
+  // kInvalidArgument and a name-bound FsClient re-opens.
   FileServer(mk::Kernel& kernel, mk::Task* task, uint64_t handle_base = 1);
 
   // Mounts `pfs` at `prefix` (e.g. "/os2"). Must happen before Run serves
@@ -143,6 +146,7 @@ class FileServer {
   void HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
   void HandleLock(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
   void HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
+  void HandleSetSize(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
   void HandleMapObject(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
   void HandleMapRelease(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
 
@@ -195,23 +199,58 @@ struct FsMapping {
 };
 
 // Client library: the RPC stubs a personality links against.
+//
+// One client, two bindings: every op, request builder and cache hook exists
+// once, and only the private Call differs. A port-bound client sends through
+// a ClientStub to one service port. A name-bound client resolves the server
+// through the name service and sends through mk::RpcCallRobust, so it rides
+// out a crash and restart-manager respawn: each Open records its path, flags,
+// share and the binding epoch (bumped on every (re-)resolution), and a handle
+// from an earlier epoch that the server no longer knows is re-opened. The
+// file server keeps its state on the simulated disk, so the crash is
+// invisible to the caller.
 class FsClient : private FsCacheBackend {
  public:
-  // `call_timeout_ns` bounds every RPC in simulated time (kForever = none):
-  // a wedged server then surfaces as kTimedOut instead of a hung client.
-  explicit FsClient(mk::PortName service, uint64_t call_timeout_ns = mk::kForever)
-      : stub_("svc.fs.client", service) {
-    stub_.set_default_timeout_ns(call_timeout_ns);
-  }
+  // Port-bound. `call_timeout_ns` bounds every RPC in simulated time
+  // (kForever = none): a wedged server then surfaces as kTimedOut instead of
+  // a hung client. The epoch never moves, so this client never re-opens.
+  explicit FsClient(mk::PortName service, uint64_t call_timeout_ns = mk::kForever);
 
-  // Re-bounds every subsequent RPC (in-flight calls keep their deadline).
-  void set_call_timeout_ns(uint64_t ns) { stub_.set_default_timeout_ns(ns); }
+  // Name-bound. `name_service` is a send right to the name service in the
+  // caller's task; `fs_name` is the name the file server (and its respawns)
+  // register under. The caller keeps the handle its first Open returned;
+  // after a re-open the client maps it to the respawn's handle. That relies
+  // on the per-generation `handle_base` every restart factory passes to
+  // FileServer: a handle from a dead generation never aliases a live one,
+  // and a handle that was never re-opened is the server's own, so copies of
+  // it (UnixProcess::Fork's fd table) keep working through another client.
+  // Calls are at-least-once: a reply lost to a crash is retried, so an Open
+  // may leave an orphaned open on the instance that died, and a retried open
+  // with a restrictive deny-mode may be refused. Re-opens strip kFsExclusive
+  // and kFsTruncate. When the restart manager has given up on the server,
+  // calls return kUnavailable.
+  FsClient(mk::PortName name_service, std::string fs_name,
+           const mk::RobustCallOptions& opts = mk::RobustCallOptions());
 
-  // Turns on the client-side cache (attr + read-ahead + write-behind).
-  // Default-off: until this call every operation is a straight RPC and the
-  // committed bench baselines are reproduced bit-for-bit.
+  // Re-bounds every subsequent RPC attempt (in-flight calls keep their
+  // deadline).
+  void set_call_timeout_ns(uint64_t ns);
+
+  // Turns on the client-side cache (attr + read-ahead + write-behind), keyed
+  // by the caller's handles. Default-off: until this call every operation is
+  // a straight RPC and the committed bench baselines are reproduced
+  // bit-for-bit.
   void EnableCache(const FsCacheOptions& opts = FsCacheOptions());
   FsCache* cache() { return cache_.get(); }
+  // Coherence hook for restart-manager death notices: drops clean cached
+  // state, as a re-open does, without needing an Env.
+  void OnServerDeath() {
+    if (cache_ != nullptr) {
+      cache_->BumpGeneration();
+    }
+  }
+  // Files re-opened after a re-binding (always 0 when port-bound).
+  uint64_t reopens() const { return reopens_; }
 
   base::Result<uint64_t> Open(mk::Env& env, const std::string& path, uint32_t flags = 0,
                               FsShare share = FsShare::kDenyNone);
@@ -254,6 +293,25 @@ class FsClient : private FsCacheBackend {
   base::Status Flush(mk::Env& env, uint64_t handle);
 
  private:
+  // What re-opening a caller's handle takes, and which server handle and
+  // binding epoch currently stand behind it.
+  struct OpenRecord {
+    std::string path;
+    uint32_t flags = 0;
+    FsShare share = FsShare::kDenyNone;
+    uint64_t server_handle = 0;
+    uint64_t epoch = 0;
+  };
+
+  // The one per-binding function: one request, one reply.
+  base::Status Call(mk::Env& env, const FsRequest& r, FsReply* reply, mk::RpcRef* ref = nullptr);
+  // Call for an op naming caller handle `handle`: sends the server handle
+  // behind it, and re-opens + retries once when the handle predates the
+  // current epoch and the server answers that it does not know it.
+  base::Status CallHandle(mk::Env& env, uint64_t handle, FsRequest& r, FsReply* reply,
+                          mk::RpcRef* ref = nullptr);
+  base::Status Reopen(mk::Env& env, OpenRecord& rec);
+
   // FsCacheBackend: the raw single-RPC path the cache misses into.
   base::Result<uint32_t> CacheRead(mk::Env& env, uint64_t handle, uint64_t offset, void* out,
                                    uint32_t len) override;
@@ -261,7 +319,17 @@ class FsClient : private FsCacheBackend {
                                     const void* data, uint32_t len) override;
   base::Result<FileAttr> CacheStat(mk::Env& env, uint64_t handle) override;
 
-  mk::ClientStub stub_;
+  // Exactly one binding is engaged. The name binding builds no ClientStub
+  // and so charges no stub region.
+  std::optional<mk::ClientStub> stub_;
+  std::optional<mks::NameClient> names_;
+  std::string fs_name_;
+  mk::RobustCallOptions opts_;
+  mk::PortName resolved_ = mk::kNullPort;  // last right the resolver handed out
+
+  uint64_t epoch_ = 0;
+  std::map<uint64_t, OpenRecord> opens_;  // by caller handle
+  uint64_t reopens_ = 0;
   std::unique_ptr<FsCache> cache_;  // null = caching off
 };
 

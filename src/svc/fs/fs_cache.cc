@@ -65,7 +65,7 @@ base::Status FsCache::Flush(mk::Env& env, FsCacheBackend& be, uint64_t handle, H
   }
   // Hand the run back before the backend call: a flush error must not leave
   // the same bytes queued forever (every later call would re-fail), and the
-  // robust backend may re-enter the cache owner during a re-open.
+  // name-bound backend may re-enter the cache owner during a re-open.
   const uint64_t offset = s.wb_offset;
   std::vector<uint8_t> run = std::move(s.wb_data);
   s.wb_data.clear();

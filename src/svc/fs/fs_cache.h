@@ -15,17 +15,18 @@
 //
 // Coherence is write-through invalidation locally (a write drops any cached
 // read span it overlaps) plus generation stamping for the server side:
-// RobustFsSession re-open and restart-manager death notices call
-// BumpGeneration(), which drops every piece of *clean* cached state. Dirty
-// write-behind data is deliberately kept — it is the client's only copy —
-// and is flushed through the (re-resolved, re-opened) transport on the next
-// write/read/flush. Caching is default-off everywhere; the committed bench
-// baselines are produced with caches off and stay byte-identical.
+// FsClient re-opens and restart-manager death notices call BumpGeneration(),
+// which drops every piece of *clean* cached state. Dirty write-behind data is
+// deliberately kept — it is the client's only copy — and is flushed through
+// the (re-resolved, re-opened) binding on the next write/read/flush. Caching
+// is default-off everywhere; the committed bench baselines are produced with
+// caches off and stay byte-identical.
 //
-// The cache holds policy and state only. The owner (FsClient or
-// RobustFsSession) implements FsCacheBackend with its own transport, so the
-// same engine runs over plain stub calls and over the crash-transparent
-// robust path without knowing the difference.
+// The cache holds policy and state only. Its owner, FsClient, implements
+// FsCacheBackend; the interface keeps this header independent of
+// file_server.h. The same engine runs over a port-bound client's plain stub
+// calls and over a name-bound client's crash-transparent robust path
+// without knowing the difference.
 #ifndef SRC_SVC_FS_FS_CACHE_H_
 #define SRC_SVC_FS_FS_CACHE_H_
 

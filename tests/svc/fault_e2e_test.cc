@@ -1,7 +1,7 @@
 // End-to-end fault-injection campaign: the file server is crashed by the
-// injector mid-workload, the restart manager respawns it, and a client
-// going through RobustFsSession never notices — every open/write/read/close
-// in the workload succeeds, for ANY seed.
+// injector mid-workload, the restart manager respawns it, and a name-bound
+// FsClient never notices — every open/write/read/close in the workload
+// succeeds, for ANY seed.
 //
 // The seed comes from WPOS_FAULT_SEED (default 1) so CI can soak many
 // campaigns over the same binary; the invariants asserted here are
@@ -21,7 +21,6 @@
 #include "src/mks/restart/restart_manager.h"
 #include "src/svc/fs/block_cache.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/fs_robust.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -112,7 +111,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     auto handle = session.Open(env, "/campaign.dat", kFsCreate | kFsWrite);
     ASSERT_TRUE(handle.ok()) << base::StatusName(handle.status());
     for (uint32_t i = 0; i < 40; ++i) {
@@ -177,7 +176,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     session.EnableCache();
     // Death notices reach the cache the way a real client would wire it: the
     // restart manager fans out to every registered listener before respawn.
@@ -237,7 +236,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
 }
 
 TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
-  // Large payloads ride the OOL path through RobustFsSession while the
+  // Large payloads ride the OOL path through a name-bound FsClient while the
   // injector fails message transfers with kBusy at kMessageCopy. The retry
   // loop must re-arm the bulk descriptor each attempt so every record still
   // round-trips bit-exact.
@@ -251,14 +250,14 @@ TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    // Armed only for the robust-session workload: kMessageCopy hits EVERY
+    // Armed only for the name-bound workload: kMessageCopy hits EVERY
     // RPC, and the one-shot Register above has no retry loop to absorb it.
     // max_fires below the robust retry budget (4 attempts): even if every
     // fire lands on the same call, the session still succeeds for ANY seed.
     kernel_.faults().Arm(mk::fault::FaultPoint::kMessageCopy,
                          mk::fault::FaultMode::kTransientError, 15, /*max_fires=*/3);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     auto handle = session.Open(env, "/bulk-campaign.dat", kFsCreate | kFsWrite);
     ASSERT_TRUE(handle.ok()) << base::StatusName(handle.status());
     constexpr uint32_t kBlock = 8 * 1024;  // every record moves out-of-line
@@ -293,6 +292,148 @@ TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
         << "the default campaign must actually hit the transfer fault";
   }
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
+// The ops beyond open/read/write/stat/map — path ops and vector I/O — ride
+// the same crash campaign through a name-bound client: each must succeed and
+// the bytes must round-trip whatever the server crashes in between.
+TEST_F(FaultE2eTest, PathAndVectorOpsSurviveCrashes) {
+  const uint64_t seed = CampaignSeed();
+  kernel_.faults().Enable(seed);
+  kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
+                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2, "fs");
+
+  kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
+    mks::NameClient nc(ns_for_client_);
+    auto right =
+        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
+    ASSERT_TRUE(right.ok());
+    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+
+    FsClient fs(ns_for_client_, kFsName);
+    for (uint32_t round = 0; round < 8; ++round) {
+      const std::string dir = "/dir" + std::to_string(round);
+      const std::string file = dir + "/vec.dat";
+      ASSERT_EQ(fs.Mkdir(env, dir), base::Status::kOk) << "round " << round;
+      auto dattr = fs.GetAttr(env, dir);
+      ASSERT_TRUE(dattr.ok()) << base::StatusName(dattr.status());
+      EXPECT_TRUE(dattr->directory);
+
+      auto handle = fs.Open(env, file, kFsCreate | kFsWrite);
+      ASSERT_TRUE(handle.ok()) << base::StatusName(handle.status());
+      char a[40];
+      char b[300];
+      char c[17];
+      std::memset(a, static_cast<int>('a' + round), sizeof(a));
+      std::memset(b, static_cast<int>('k' + round), sizeof(b));
+      std::memset(c, static_cast<int>('u' + round), sizeof(c));
+      const FsWriteExtent out[] = {{0, a, sizeof(a)}, {4096, b, sizeof(b)}, {9000, c, sizeof(c)}};
+      auto wrote = fs.WriteV(env, *handle, out, 3);
+      ASSERT_TRUE(wrote.ok()) << "writev " << round << ": " << base::StatusName(wrote.status());
+      ASSERT_EQ(*wrote, sizeof(a) + sizeof(b) + sizeof(c));
+
+      char a2[sizeof(a)] = {};
+      char b2[sizeof(b)] = {};
+      char c2[sizeof(c)] = {};
+      const FsReadExtent in[] = {{0, a2, sizeof(a2)}, {4096, b2, sizeof(b2)}, {9000, c2, sizeof(c2)}};
+      auto got = fs.ReadV(env, *handle, in, 3);
+      ASSERT_TRUE(got.ok()) << "readv " << round << ": " << base::StatusName(got.status());
+      ASSERT_EQ(*got, sizeof(a) + sizeof(b) + sizeof(c));
+      EXPECT_EQ(std::memcmp(a, a2, sizeof(a)), 0);
+      EXPECT_EQ(std::memcmp(b, b2, sizeof(b)), 0);
+      EXPECT_EQ(std::memcmp(c, c2, sizeof(c)), 0);
+
+      ASSERT_EQ(fs.SetSize(env, *handle, 4096 + 100), base::Status::kOk) << "round " << round;
+      auto fattr = fs.GetAttr(env, file);
+      ASSERT_TRUE(fattr.ok()) << base::StatusName(fattr.status());
+      EXPECT_EQ(fattr->size, 4096u + 100u);
+      ASSERT_EQ(fs.Close(env, *handle), base::Status::kOk);
+
+      auto entries = fs.ReadDir(env, dir);
+      ASSERT_TRUE(entries.ok()) << base::StatusName(entries.status());
+      ASSERT_EQ(entries->size(), 1u);
+      EXPECT_EQ((*entries)[0].name, "vec.dat");
+      ASSERT_EQ(fs.Unlink(env, file), base::Status::kOk) << "round " << round;
+      EXPECT_EQ(fs.GetAttr(env, file).status(), base::Status::kNotFound);
+    }
+
+    kernel_.faults().DisarmAll();
+    servers_.back()->Stop();
+    mgr_->Stop();
+    ns_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+
+  const uint64_t crashes =
+      kernel_.faults().fires(mk::fault::FaultPoint::kServerHandlerEntry);
+  EXPECT_EQ(mgr_->total_restarts(), crashes);
+  EXPECT_FALSE(mgr_->degraded(kFsName));
+  if (seed == 1) {
+    EXPECT_GT(crashes, 0u) << "the default campaign must actually crash the server";
+  }
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
+// A name-bound client caps every transfer at kFsMaxIo exactly as a
+// port-bound one does: an oversized request is a short transfer, not a
+// failure mistaken for a server restart.
+TEST_F(FaultE2eTest, NameBoundOversizedTransferIsShortNotReopened) {
+  kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
+    mks::NameClient nc(ns_for_client_);
+    auto right =
+        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
+    ASSERT_TRUE(right.ok());
+    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+    FsClient named(ns_for_client_, kFsName);
+    FsClient plain(*right);
+
+    constexpr uint32_t kFile = 8192;
+    constexpr uint32_t kOversized = kFsMaxIo + 4096;
+    std::vector<uint8_t> data(kOversized);
+    for (uint32_t i = 0; i < kOversized; ++i) {
+      data[i] = static_cast<uint8_t>(i % 251);
+    }
+    auto handle = named.Open(env, "/eight-k.dat", kFsCreate | kFsWrite);
+    ASSERT_TRUE(handle.ok()) << base::StatusName(handle.status());
+    auto wrote = named.Write(env, *handle, 0, data.data(), kFile);
+    ASSERT_TRUE(wrote.ok()) << base::StatusName(wrote.status());
+    ASSERT_EQ(*wrote, kFile);
+
+    std::vector<uint8_t> back(kOversized);
+    auto got = named.Read(env, *handle, 0, back.data(), kOversized);
+    EXPECT_TRUE(got.ok()) << base::StatusName(got.status());
+    if (got.ok()) {
+      EXPECT_EQ(*got, kFile);
+      EXPECT_TRUE(std::equal(back.begin(), back.begin() + kFile, data.begin()));
+    }
+    // A lock that was never taken is the server's answer about a live
+    // handle, not a sign that the server restarted.
+    EXPECT_EQ(named.Unlock(env, *handle, 0, 16), base::Status::kNotFound);
+    EXPECT_EQ(named.reopens(), 0u);
+    ASSERT_EQ(named.Close(env, *handle), base::Status::kOk);
+    EXPECT_EQ(servers_.back()->open_files(), 0u);
+
+    // An oversized write answers what the port-bound client answers.
+    auto ph = plain.Open(env, "/port-bound.dat", kFsCreate | kFsWrite);
+    auto nh = named.Open(env, "/name-bound.dat", kFsCreate | kFsWrite);
+    ASSERT_TRUE(ph.ok() && nh.ok());
+    auto pw = plain.Write(env, *ph, 0, data.data(), kOversized);
+    auto nw = named.Write(env, *nh, 0, data.data(), kOversized);
+    EXPECT_EQ(nw.status(), pw.status());
+    if (pw.ok() && nw.ok()) {
+      EXPECT_EQ(*nw, *pw);
+    }
+    EXPECT_EQ(named.reopens(), 0u);
+    ASSERT_EQ(plain.Close(env, *ph), base::Status::kOk);
+    ASSERT_EQ(named.Close(env, *nh), base::Status::kOk);
+    EXPECT_EQ(servers_.back()->open_files(), 0u);
+
+    servers_.back()->Stop();
+    mgr_->Stop();
+    ns_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(servers_.size(), 1u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //     VmObject at it;
 //   - dirty mapped pages SURVIVE the crash (the client's copy is the only
 //     copy) and reach the disk afterwards by msync-style replay through the
-//     RobustFsSession, which re-opens the file on the new instance
+//     name-bound FsClient, which re-opens the file on the new instance
 //     transparently.
 //
 // The seed comes from WPOS_FAULT_SEED (default 1) so the CI fault-soak can
@@ -23,7 +23,6 @@
 #include "src/mks/restart/restart_manager.h"
 #include "src/svc/fs/block_cache.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/fs_robust.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -110,7 +109,7 @@ TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     // Death notices wired the way a mapping-aware client runtime would: drop
     // the session's cached state AND every clean mapped page — the pager that
     // produced those pages died with its instance. Dirty pages are kept: the
@@ -186,7 +185,7 @@ TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
               base::Status::kOk);
     EXPECT_STREQ(back, tag);
 
-    // msync-style replay: push every dirty page through the robust session
+    // msync-style replay: push every dirty page through the name-bound client
     // (crash-transparent), then mark clean so the store is published.
     for (uint64_t page : mapped->DirtyPages(0, kFilePages)) {
       std::vector<uint8_t> buf(hw::kPageSize);
@@ -238,7 +237,7 @@ TEST_F(FaultMmapE2eTest, MappedReadsStayCoherentAcrossRandomCrashes) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     std::shared_ptr<mk::VmObject> mapped;
     mgr_->AddDeathListener([&](const std::string& name) {
       if (name != kFsName) {

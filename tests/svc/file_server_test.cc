@@ -329,7 +329,7 @@ TEST_F(FileServerTest, HandleStatReturnsAttrsWithoutPathWalk) {
     EXPECT_FALSE(attr->directory);
     ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
     // A closed (stale) handle answers kInvalidArgument — the signal the
-    // robust session re-opens on, never a crash on an empty path.
+    // name-bound FsClient re-opens on, never a crash on an empty path.
     EXPECT_EQ(fs.Stat(env, *h).status(), base::Status::kInvalidArgument);
   });
 }

@@ -46,10 +46,16 @@ Checks, over every header and source file under src/ and tests/:
      heartbeat, shutdown and survival of oversized requests; a hand-rolled
      loop silently drops all of them. bench/ (the Table 2 null server),
      examples/ and tests/ may call the kernel primitives directly.
+  8. EXPERIMENTS.md's Table 2 quotes BENCH_table2.json: the "Measured
+     trap", "Measured RPC" and "Measured ratio" cells of each row equal the
+     committed trap.* / rpc32.* measured values (instructions, cycles and
+     bus cycles rounded to integers, CPI to one decimal, ratio = RPC/trap
+     to two decimals). A stale row misquotes the paper reproduction.
 
 Exit status is the number of files with violations (0 = clean).
 """
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -60,6 +66,15 @@ COSTS_HEADER = Path("src") / "mk" / "costs.h"
 TRACE_EVENTS_HEADER = Path("src") / "mk" / "trace" / "events.h"
 FAULT_POINTS_HEADER = Path("src") / "mk" / "fault" / "points.h"
 SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
+EXPERIMENTS_DOC = Path("EXPERIMENTS.md")
+TABLE2_BASELINE = Path("BENCH_table2.json")
+# (row label in EXPERIMENTS.md, metric suffix in BENCH_table2.json, cell format)
+TABLE2_ROWS = (
+    ("Instructions", "instructions", "{:.0f}"),
+    ("Cycles", "cycles", "{:.0f}"),
+    ("Bus cycles", "bus_cycles", "{:.0f}"),
+    ("CPI", "cpi", "{:.1f}"),
+)
 
 DETERMINISM_SCOPES = (Path("src") / "mk", Path("src") / "svc", Path("src") / "pers")
 DETERMINISM_EXEMPT = {Path("src") / "mk" / "host.cc"}
@@ -277,6 +292,34 @@ def check_determinism(rel_path: Path, text: str, errors: list, accessors: set) -
         )
 
 
+def check_table2_doc() -> list:
+    doc_lines = (REPO_ROOT / EXPERIMENTS_DOC).read_text(encoding="utf-8").splitlines()
+    bench = json.loads((REPO_ROOT / TABLE2_BASELINE).read_text(encoding="utf-8"))
+    rows = {}
+    in_table2 = False
+    for lineno, line in enumerate(doc_lines, start=1):
+        if line.startswith("## "):
+            in_table2 = line.startswith("## Table 2")
+        elif in_table2 and line.startswith("|"):
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            rows[cells[0]] = (lineno, cells)
+    errors = []
+    for label, key, fmt in TABLE2_ROWS:
+        if label not in rows:
+            errors.append(f"{EXPERIMENTS_DOC}: Table 2 has no '{label}' row")
+            continue
+        lineno, cells = rows[label]
+        trap = bench[f"trap.{key}"]["measured"]
+        rpc = bench[f"rpc32.{key}"]["measured"]
+        want = [fmt.format(trap), fmt.format(rpc), f"{rpc / trap:.2f}"]
+        if cells[4:7] != want:
+            errors.append(
+                f"{EXPERIMENTS_DOC}:{lineno}: Table 2 '{label}' measured cells "
+                f"{' | '.join(cells[4:7])} do not quote {TABLE2_BASELINE} ({' | '.join(want)})"
+            )
+    return errors
+
+
 def expected_guard(rel_path: Path) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(rel_path)).upper() + "_"
 
@@ -360,12 +403,13 @@ def main() -> int:
                 total_errors += len(errors)
                 for error in errors:
                     print(f"lint: {error}", file=sys.stderr)
-    registry_errors = check_fault_registry_live(fault_registry, fault_used)
-    registry_errors += check_trace_registry_live(trace_registry, trace_used)
-    if registry_errors:
+    cross_file_errors = check_fault_registry_live(fault_registry, fault_used)
+    cross_file_errors += check_trace_registry_live(trace_registry, trace_used)
+    cross_file_errors += check_table2_doc()
+    if cross_file_errors:
         bad_files += 1
-        total_errors += len(registry_errors)
-        for error in registry_errors:
+        total_errors += len(cross_file_errors)
+        for error in cross_file_errors:
             print(f"lint: {error}", file=sys.stderr)
     if total_errors:
         print(f"lint: {total_errors} issue(s) in {bad_files} file(s)", file=sys.stderr)
