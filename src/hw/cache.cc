@@ -1,77 +1,44 @@
 #include "src/hw/cache.h"
 
+#include <bit>
+
 #include "src/base/log.h"
 
 namespace hw {
 
-namespace {
-uint32_t Log2(uint32_t v) {
-  uint32_t r = 0;
-  while ((1u << r) < v) {
-    ++r;
-  }
-  return r;
-}
-}  // namespace
-
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  WPOS_CHECK(config.size_bytes % (config.line_bytes * config.ways) == 0)
+  WPOS_CHECK(config.ways > 0 && config.size_bytes % (config.line_bytes * config.ways) == 0)
       << "cache geometry must divide evenly";
-  num_sets_ = config.size_bytes / (config.line_bytes * config.ways);
-  WPOS_CHECK((num_sets_ & (num_sets_ - 1)) == 0) << "set count must be a power of two";
-  line_shift_ = Log2(config.line_bytes);
-  lines_.resize(static_cast<size_t>(num_sets_) * config.ways);
+  const uint32_t num_sets = config.size_bytes / (config.line_bytes * config.ways);
+  WPOS_CHECK(std::has_single_bit(num_sets)) << "set count must be a power of two";
+  WPOS_CHECK(std::has_single_bit(config.line_bytes)) << "line size must be a power of two";
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(config.line_bytes));
+  set_shift_ = static_cast<uint32_t>(std::countr_zero(num_sets));
+  set_mask_ = num_sets - 1;
+  WPOS_CHECK(line_shift_ + set_shift_ > 0) << "a tag must drop at least one address bit";
+  lines_.resize(static_cast<size_t>(num_sets) * config.ways);
 }
 
-Cache::AccessResult Cache::Access(PhysAddr addr, bool write) {
-  ++stats_.accesses;
-  ++tick_;
-  const uint64_t line_addr = addr >> line_shift_;
-  const uint32_t set = static_cast<uint32_t>(line_addr & (num_sets_ - 1));
-  const uint64_t tag = line_addr >> Log2(num_sets_);
-  Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
-
-  // Hit path.
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = tick_;
-      line.dirty = line.dirty || write;
-      return {.hit = true, .writeback = false};
-    }
-  }
-
-  // Miss: pick invalid way, else LRU victim.
+Cache::AccessResult Cache::Miss(Line* set, uint64_t tag, bool write) {
   ++stats_.misses;
-  Line* victim = &base[0];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru < victim->lru) {
-      victim = &line;
-    }
-  }
-  const bool writeback = victim->valid && victim->dirty;
+  const Line& victim = set[config_.ways - 1];
+  const bool writeback = victim.dirty;
   if (writeback) {
     ++stats_.writebacks;
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->dirty = write;
-  victim->lru = tick_;
+  for (uint32_t w = config_.ways - 1; w > 0; --w) {
+    set[w] = set[w - 1];
+  }
+  set[0] = Line{.tag = tag, .dirty = write};
   return {.hit = false, .writeback = writeback};
 }
 
 void Cache::Flush() {
   for (Line& line : lines_) {
-    if (line.valid && line.dirty) {
+    if (line.dirty) {
       ++stats_.writebacks;
     }
-    line.valid = false;
-    line.dirty = false;
+    line = Line{};
   }
 }
 

@@ -5,14 +5,6 @@ namespace hw {
 Cpu::Cpu(const CpuConfig& config)
     : config_(config), icache_(config.icache), dcache_(config.dcache), tlb_(config.tlb) {}
 
-void Cpu::ChargeFetch(PhysAddr addr) {
-  Cache::AccessResult r = icache_.Access(addr, /*write=*/false);
-  if (!r.hit) {
-    cycles_ += config_.icache_miss_cycles;
-    bus_cycles_ += config_.bus_per_fill;
-  }
-}
-
 void Cpu::ExecuteInstructions(const CodeRegion& region, uint64_t instructions) {
   if (instructions == 0) {
     return;
@@ -38,44 +30,15 @@ void Cpu::ExecuteInstructions(const CodeRegion& region, uint64_t instructions) {
   const uint32_t stride = line * region.sparsity;
   const uint64_t fetches = (bytes + line - 1) / line;
   PhysAddr a = region.base & ~static_cast<PhysAddr>(line - 1);
-  for (uint64_t i = 0; i < fetches; ++i) {
-    ChargeFetch(a + i * stride);
+  for (uint64_t i = 0; i < fetches; ++i, a += stride) {
+    icache_.Access(a, /*write=*/false);
   }
+  const uint64_t misses = icache_.stats().misses - imiss_before;
+  cycles_ += misses * config_.icache_miss_cycles;
+  bus_cycles_ += misses * config_.bus_per_fill;
   if (execute_observer_) {
-    execute_observer_(region, instructions, cycles_ - cycles_before,
-                      icache_.stats().misses - imiss_before);
+    execute_observer_(region, instructions, cycles_ - cycles_before, misses);
   }
-}
-
-void Cpu::AccessData(PhysAddr paddr, uint32_t size, bool write) {
-  ++data_accesses_;
-  if (access_observer_) {
-    access_observer_(paddr, size, write);
-  }
-  const uint32_t line = config_.dcache.line_bytes;
-  const PhysAddr first = paddr & ~static_cast<PhysAddr>(line - 1);
-  const PhysAddr last = (paddr + (size == 0 ? 0 : size - 1)) & ~static_cast<PhysAddr>(line - 1);
-  for (PhysAddr a = first; a <= last; a += line) {
-    Cache::AccessResult r = dcache_.Access(a, write);
-    if (!r.hit) {
-      cycles_ += config_.dcache_miss_cycles;
-      bus_cycles_ += config_.bus_per_fill;
-    }
-    if (r.writeback) {
-      cycles_ += config_.writeback_cycles;
-      bus_cycles_ += config_.bus_per_writeback;
-    }
-  }
-}
-
-void Cpu::AccessTranslated(VirtAddr vaddr, PhysAddr paddr, PhysAddr pte_paddr, uint32_t size,
-                           bool write) {
-  if (!tlb_.Access(PageIndex(vaddr))) {
-    cycles_ += config_.tlb_walk_cycles;
-    // The hardware walker reads the PTE through the data cache.
-    AccessData(pte_paddr, 4, /*write=*/false);
-  }
-  AccessData(paddr, size, write);
 }
 
 void Cpu::AccessUncached(PhysAddr paddr, uint32_t size, bool write) {

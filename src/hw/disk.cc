@@ -7,9 +7,9 @@
 namespace hw {
 
 Disk::Disk(std::string name, int irq_line, const Geometry& geometry)
-    : Device(std::move(name), irq_line), geometry_(geometry) {
-  image_.resize(geometry_.sectors * kSectorSize, 0);
-}
+    : Device(std::move(name), irq_line),
+      geometry_(geometry),
+      image_(AllocZeroed(geometry_.sectors * kSectorSize)) {}
 
 uint32_t Disk::ReadReg(uint32_t offset) {
   switch (offset) {
@@ -73,9 +73,9 @@ void Disk::StartCommand(uint32_t cmd) {
   machine()->ScheduleAfter(latency, [this, cmd, lba, count, dma] {
     const uint64_t bytes = static_cast<uint64_t>(count) * kSectorSize;
     if (cmd == kCmdRead) {
-      machine()->mem().Write(dma, image_.data() + static_cast<uint64_t>(lba) * kSectorSize, bytes);
+      machine()->mem().Write(dma, image_.get() + static_cast<uint64_t>(lba) * kSectorSize, bytes);
     } else if (cmd == kCmdWrite) {
-      machine()->mem().Read(dma, image_.data() + static_cast<uint64_t>(lba) * kSectorSize, bytes);
+      machine()->mem().Read(dma, image_.get() + static_cast<uint64_t>(lba) * kSectorSize, bytes);
     } else {
       reg_status_ |= kStatusError;
     }
@@ -87,12 +87,12 @@ void Disk::StartCommand(uint32_t cmd) {
 
 void Disk::ReadSectors(uint64_t lba, uint32_t count, void* out) const {
   WPOS_CHECK(lba + count <= geometry_.sectors);
-  std::memcpy(out, image_.data() + lba * kSectorSize, static_cast<uint64_t>(count) * kSectorSize);
+  std::memcpy(out, image_.get() + lba * kSectorSize, static_cast<uint64_t>(count) * kSectorSize);
 }
 
 void Disk::WriteSectors(uint64_t lba, uint32_t count, const void* src) {
   WPOS_CHECK(lba + count <= geometry_.sectors);
-  std::memcpy(image_.data() + lba * kSectorSize, src, static_cast<uint64_t>(count) * kSectorSize);
+  std::memcpy(image_.get() + lba * kSectorSize, src, static_cast<uint64_t>(count) * kSectorSize);
 }
 
 }  // namespace hw

@@ -13,9 +13,9 @@
 #define SRC_HW_DISK_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/hw/machine.h"
+#include "src/hw/phys_mem.h"
 #include "src/hw/types.h"
 
 namespace hw {
@@ -60,7 +60,7 @@ class Disk : public Device {
   void StartCommand(uint32_t cmd);
 
   Geometry geometry_;
-  std::vector<uint8_t> image_;
+  ZeroedBytes image_;  // lazily zeroed: untouched sectors cost no host memory
   uint32_t reg_lba_ = 0;
   uint32_t reg_count_ = 0;
   uint32_t reg_dma_ = 0;

@@ -4,9 +4,14 @@
 
 namespace hw {
 
-PhysMem::PhysMem(uint64_t size_bytes) {
+ZeroedBytes AllocZeroed(uint64_t size_bytes) {
+  ZeroedBytes bytes(static_cast<uint8_t*>(std::calloc(size_bytes == 0 ? 1 : size_bytes, 1)));
+  WPOS_CHECK(bytes != nullptr) << "cannot allocate " << size_bytes << " bytes of backing storage";
+  return bytes;
+}
+
+PhysMem::PhysMem(uint64_t size_bytes) : size_(size_bytes), data_(AllocZeroed(size_bytes)) {
   WPOS_CHECK(size_bytes % kPageSize == 0);
-  data_.resize(size_bytes, 0);
   frame_used_.resize(size_bytes >> kPageShift, false);
 }
 
@@ -56,18 +61,18 @@ bool PhysMem::IsAllocated(PhysAddr frame) const {
 }
 
 void PhysMem::Read(PhysAddr addr, void* out, uint64_t len) const {
-  WPOS_CHECK(addr + len <= data_.size()) << "physical read out of range";
-  std::memcpy(out, data_.data() + addr, len);
+  WPOS_CHECK(addr + len <= size_) << "physical read out of range";
+  std::memcpy(out, data_.get() + addr, len);
 }
 
 void PhysMem::Write(PhysAddr addr, const void* src, uint64_t len) {
-  WPOS_CHECK(addr + len <= data_.size()) << "physical write out of range";
-  std::memcpy(data_.data() + addr, src, len);
+  WPOS_CHECK(addr + len <= size_) << "physical write out of range";
+  std::memcpy(data_.get() + addr, src, len);
 }
 
 void PhysMem::Fill(PhysAddr addr, uint8_t byte, uint64_t len) {
-  WPOS_CHECK(addr + len <= data_.size());
-  std::memset(data_.data() + addr, byte, len);
+  WPOS_CHECK(addr + len <= size_);
+  std::memset(data_.get() + addr, byte, len);
 }
 
 uint8_t PhysMem::ReadU8(PhysAddr addr) const {

@@ -1,11 +1,17 @@
 // Simulated physical memory: real backing storage plus a frame allocator.
 // Storage and cost are deliberately separate concerns — PhysMem moves bytes,
 // the Cpu charges for them.
+//
+// The storage is lazily zeroed (ZeroedBytes): a simulation that touches a
+// few megabytes of a 64 MB machine pays host memory and set-up time for
+// those megabytes only.
 #ifndef SRC_HW_PHYS_MEM_H_
 #define SRC_HW_PHYS_MEM_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/base/status.h"
@@ -13,11 +19,21 @@
 
 namespace hw {
 
+// A zero-filled host byte buffer, allocated with calloc. Large callocs are
+// served from fresh anonymous mappings, which the host kernel hands out
+// already zero, so pages the simulation never touches are never faulted in
+// or cleared. Backs simulated RAM and disk images.
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
+};
+using ZeroedBytes = std::unique_ptr<uint8_t[], FreeDeleter>;
+ZeroedBytes AllocZeroed(uint64_t size_bytes);
+
 class PhysMem {
  public:
   explicit PhysMem(uint64_t size_bytes);
 
-  uint64_t size() const { return data_.size(); }
+  uint64_t size() const { return size_; }
   uint64_t num_frames() const { return size() >> kPageShift; }
   uint64_t frames_allocated() const { return frames_allocated_; }
   uint64_t frames_free() const { return num_frames() - frames_allocated_; }
@@ -41,7 +57,8 @@ class PhysMem {
   void WriteU32(PhysAddr addr, uint32_t v);
 
  private:
-  std::vector<uint8_t> data_;
+  uint64_t size_;
+  ZeroedBytes data_;
   std::vector<bool> frame_used_;
   uint64_t next_hint_ = 0;
   uint64_t frames_allocated_ = 0;

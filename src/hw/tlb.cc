@@ -1,51 +1,31 @@
 #include "src/hw/tlb.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "src/base/log.h"
 
 namespace hw {
 
 Tlb::Tlb(const TlbConfig& config) : config_(config) {
-  WPOS_CHECK(config.entries % config.ways == 0);
-  num_sets_ = config.entries / config.ways;
-  WPOS_CHECK((num_sets_ & (num_sets_ - 1)) == 0) << "TLB set count must be a power of two";
-  entries_.resize(config.entries);
+  WPOS_CHECK(config.ways > 0 && config.entries % config.ways == 0);
+  const uint32_t num_sets = config.entries / config.ways;
+  WPOS_CHECK(std::has_single_bit(num_sets)) << "TLB set count must be a power of two";
+  set_mask_ = num_sets - 1;
+  entries_.assign(config.entries, kNoVpn);
 }
 
-bool Tlb::Access(uint64_t vpn) {
-  ++stats_.accesses;
-  ++tick_;
-  const uint32_t set = static_cast<uint32_t>(vpn & (num_sets_ - 1));
-  Entry* base = &entries_[static_cast<size_t>(set) * config_.ways];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Entry& e = base[w];
-    if (e.valid && e.vpn == vpn) {
-      e.lru = tick_;
-      return true;
-    }
-  }
+void Tlb::Miss(uint64_t* set, uint64_t vpn) {
   ++stats_.misses;
-  Entry* victim = &base[0];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Entry& e = base[w];
-    if (!e.valid) {
-      victim = &e;
-      break;
-    }
-    if (e.lru < victim->lru) {
-      victim = &e;
-    }
+  for (uint32_t w = config_.ways - 1; w > 0; --w) {
+    set[w] = set[w - 1];
   }
-  victim->valid = true;
-  victim->vpn = vpn;
-  victim->lru = tick_;
-  return false;
+  set[0] = vpn;
 }
 
 void Tlb::Flush() {
   ++stats_.flushes;
-  for (Entry& e : entries_) {
-    e.valid = false;
-  }
+  std::fill(entries_.begin(), entries_.end(), kNoVpn);
 }
 
 }  // namespace hw

@@ -1,6 +1,11 @@
 // TLB model. The Pentium and 604 of the paper had no address-space tags, so
 // an address-space switch flushes the whole TLB; the refill cost after a
 // switch is one of the context-switch costs the paper calls out.
+//
+// Replacement is LRU within a set, kept the same way as in Cache: each set is
+// in recency order, most recent entry first, and a miss evicts the last
+// entry. The hit path is inline because the Cpu looks up every translated
+// access.
 #ifndef SRC_HW_TLB_H_
 #define SRC_HW_TLB_H_
 
@@ -28,23 +33,36 @@ class Tlb {
 
   // Touch the translation for virtual page `vpn`. Returns true on hit; on a
   // miss the entry is installed (the page walk itself is charged by the CPU).
-  bool Access(uint64_t vpn);
+  bool Access(uint64_t vpn) {
+    ++stats_.accesses;
+    uint64_t* set = &entries_[(vpn & set_mask_) * config_.ways];
+    for (uint32_t w = 0; w < config_.ways; ++w) {
+      if (set[w] == vpn) {
+        for (; w > 0; --w) {
+          set[w] = set[w - 1];
+        }
+        set[0] = vpn;
+        return true;
+      }
+    }
+    Miss(set, vpn);
+    return false;
+  }
 
   void Flush();
 
   const TlbStats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    uint64_t vpn = 0;
-    bool valid = false;
-    uint64_t lru = 0;
-  };
+  // An invalid entry holds kNoVpn; a page index never reaches it.
+  static constexpr uint64_t kNoVpn = ~uint64_t{0};
+
+  // Install `vpn` at the front of `set`, evicting its last (least recent) entry.
+  void Miss(uint64_t* set, uint64_t vpn);
 
   TlbConfig config_;
-  uint32_t num_sets_;
-  std::vector<Entry> entries_;
-  uint64_t tick_ = 0;
+  uint64_t set_mask_;
+  std::vector<uint64_t> entries_;  // virtual page numbers, row-major by set, MRU first
   TlbStats stats_;
 };
 

@@ -392,8 +392,10 @@ class Kernel {
                              uint32_t reply_cap, uint32_t* reply_len, RpcRef* ref,
                              const RightDescriptor* rights, uint32_t rights_count,
                              PortName* granted, uint64_t timeout_ns);
-  // Charge a translated user-memory access (TLB + D-cache) for `task`.
-  void AccessUser(Task& task, hw::VirtAddr vaddr, hw::PhysAddr pa, uint32_t size, bool write);
+  // Charge a translated user-memory access (TLB + D-cache) for `task` to
+  // [vaddr, vaddr+len), which lies in one page and resolves to `pa`: one
+  // access per line-sized step from `vaddr`, as a copy loop issues them.
+  void AccessUser(Task& task, hw::VirtAddr vaddr, hw::PhysAddr pa, uint64_t len, bool write);
   // Virtual-copy snapshot of [addr, addr+size) for legacy OOL transfer:
   // returns an object that sees the current contents; later writes by the
   // sender COW away from it.

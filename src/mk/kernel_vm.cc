@@ -488,9 +488,14 @@ base::Result<hw::PhysAddr> Kernel::ResolveForAccess(Task& task, hw::VirtAddr vad
 
 // --- User memory access -----------------------------------------------------------------------
 
-void Kernel::AccessUser(Task& task, hw::VirtAddr vaddr, hw::PhysAddr pa, uint32_t size,
+void Kernel::AccessUser(Task& task, hw::VirtAddr vaddr, hw::PhysAddr pa, uint64_t len,
                         bool write) {
-  cpu().AccessTranslated(vaddr, pa, task.pmap().PteAddr(hw::PageIndex(vaddr)), size, write);
+  const uint32_t line = cpu().config().dcache.line_bytes;
+  const hw::PhysAddr pte = task.pmap().PteAddr(hw::PageIndex(vaddr));
+  for (uint64_t o = 0; o < len; o += line) {
+    const uint32_t n = static_cast<uint32_t>(len - o < line ? len - o : line);
+    cpu().AccessTranslated(vaddr + o, pa + o, pte, n, write);
+  }
 }
 
 namespace {
@@ -522,11 +527,7 @@ base::Status Kernel::CopyOut(Task& task, hw::VirtAddr dst, const void* src, uint
     machine_->mem().Write(*pa, bytes + off, chunk);
     cpu().ExecuteInstructions(UserAccessRegion(),
                               Costs::kCopyLoopOverhead / 2 + chunk / Costs::kCopyBytesPerInstr);
-    const uint32_t line = cpu().config().dcache.line_bytes;
-    for (uint64_t o = 0; o < chunk; o += line) {
-      const uint32_t n = static_cast<uint32_t>(chunk - o < line ? chunk - o : line);
-      AccessUser(task, va + o, *pa + o, n, /*write=*/true);
-    }
+    AccessUser(task, va, *pa, chunk, /*write=*/true);
     return base::Status::kOk;
   });
 }
@@ -541,11 +542,7 @@ base::Status Kernel::CopyIn(Task& task, hw::VirtAddr src, void* dst, uint64_t le
     machine_->mem().Read(*pa, bytes + off, chunk);
     cpu().ExecuteInstructions(UserAccessRegion(),
                               Costs::kCopyLoopOverhead / 2 + chunk / Costs::kCopyBytesPerInstr);
-    const uint32_t line = cpu().config().dcache.line_bytes;
-    for (uint64_t o = 0; o < chunk; o += line) {
-      const uint32_t n = static_cast<uint32_t>(chunk - o < line ? chunk - o : line);
-      AccessUser(task, va + o, *pa + o, n, /*write=*/false);
-    }
+    AccessUser(task, va, *pa, chunk, /*write=*/false);
     return base::Status::kOk;
   });
 }
@@ -558,11 +555,7 @@ base::Status Kernel::UserFill(Task& task, hw::VirtAddr dst, uint8_t byte, uint64
     }
     machine_->mem().Fill(*pa, byte, chunk);
     cpu().ExecuteInstructions(UserAccessRegion(), chunk / Costs::kCopyBytesPerInstr);
-    const uint32_t line = cpu().config().dcache.line_bytes;
-    for (uint64_t o = 0; o < chunk; o += line) {
-      const uint32_t n = static_cast<uint32_t>(chunk - o < line ? chunk - o : line);
-      AccessUser(task, va + o, *pa + o, n, /*write=*/true);
-    }
+    AccessUser(task, va, *pa, chunk, /*write=*/true);
     return base::Status::kOk;
   });
 }
@@ -574,11 +567,7 @@ base::Status Kernel::UserTouch(Task& task, hw::VirtAddr addr, uint64_t len, bool
       return pa.status();
     }
     cpu().ExecuteInstructions(UserAccessRegion(), chunk / Costs::kCopyBytesPerInstr);
-    const uint32_t line = cpu().config().dcache.line_bytes;
-    for (uint64_t o = 0; o < chunk; o += line) {
-      const uint32_t n = static_cast<uint32_t>(chunk - o < line ? chunk - o : line);
-      AccessUser(task, va + o, *pa + o, n, write);
-    }
+    AccessUser(task, va, *pa, chunk, write);
     return base::Status::kOk;
   });
 }

@@ -129,7 +129,7 @@ const char* SpanPhaseName(SpanKind kind, int phase) {
 }
 
 Tracer::Tracer(hw::Cpu* cpu, Scheduler* scheduler, size_t capacity)
-    : cpu_(cpu), scheduler_(scheduler), ring_(capacity == 0 ? 1 : capacity) {}
+    : cpu_(cpu), scheduler_(scheduler), capacity_(capacity == 0 ? 1 : capacity) {}
 
 Tracer::~Tracer() {
   if (enabled_) {
@@ -142,6 +142,11 @@ void Tracer::Enable() {
     return;
   }
   enabled_ = true;
+  // Events are only pushed while enabled, or by a span begun while enabled,
+  // so a kernel that never traces never pays for the ring.
+  if (ring_.empty()) {
+    ring_.resize(capacity_);
+  }
   cpu_->set_execute_observer(
       [this](const hw::CodeRegion& region, uint64_t instructions, uint64_t cycles,
              uint64_t icache_misses) {
@@ -163,7 +168,7 @@ void Tracer::Disable() {
 
 void Tracer::Push(EventType type, uint64_t a, uint64_t b) {
   TraceEvent& e = ring_[ring_next_];
-  ring_next_ = (ring_next_ + 1) % ring_.size();
+  ring_next_ = (ring_next_ + 1) % capacity_;
   ++total_emitted_;
   e.type = type;
   e.cycle = cpu_->cycles();
@@ -184,12 +189,12 @@ void Tracer::Emit(EventType type, uint64_t a, uint64_t b) {
 std::vector<TraceEvent> Tracer::Events() const {
   std::vector<TraceEvent> out;
   const size_t buffered =
-      total_emitted_ < ring_.size() ? static_cast<size_t>(total_emitted_) : ring_.size();
+      total_emitted_ < capacity_ ? static_cast<size_t>(total_emitted_) : capacity_;
   out.reserve(buffered);
   // Oldest event sits at ring_next_ once the ring has wrapped.
-  const size_t start = total_emitted_ < ring_.size() ? 0 : ring_next_;
+  const size_t start = total_emitted_ < capacity_ ? 0 : ring_next_;
   for (size_t i = 0; i < buffered; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+    out.push_back(ring_[(start + i) % capacity_]);
   }
   return out;
 }

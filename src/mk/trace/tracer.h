@@ -69,8 +69,8 @@ class Tracer {
   // Buffered events, oldest first.
   std::vector<TraceEvent> Events() const;
   uint64_t total_emitted() const { return total_emitted_; }
-  uint64_t dropped() const { return total_emitted_ > ring_.size() ? total_emitted_ - ring_.size() : 0; }
-  size_t capacity() const { return ring_.size(); }
+  uint64_t dropped() const { return total_emitted_ > capacity_ ? total_emitted_ - capacity_ : 0; }
+  size_t capacity() const { return capacity_; }
 
   // --- Span profiler ---------------------------------------------------------
   // Begins a span, emitting `begin_event` (payload a = span id, b = `b`).
@@ -169,8 +169,9 @@ class Tracer {
   Scheduler* scheduler_;
   bool enabled_ = false;
 
-  std::vector<TraceEvent> ring_;
-  size_t ring_next_ = 0;        // next slot to overwrite
+  size_t capacity_;
+  std::vector<TraceEvent> ring_;  // capacity_ slots, allocated by the first Enable()
+  size_t ring_next_ = 0;          // next slot to overwrite
   uint64_t total_emitted_ = 0;  // events ever emitted (>= buffered)
 
   uint64_t next_span_id_ = 1;

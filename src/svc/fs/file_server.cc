@@ -143,7 +143,11 @@ void FileServer::InvalidateMappedRange(Mount* mount, NodeId node, uint64_t offse
   (void)kernel_.VmObjectInvalidate(target, first, count, /*clean_only=*/true);
 }
 
-FileServer::Mount* FileServer::MountFor(const std::string& path, std::string* rest) {
+base::Result<FileServer::Mount*> FileServer::MountFor(const std::string& path,
+                                                     std::string* rest) {
+  if (path.empty() || path[0] != '/') {
+    return base::Status::kInvalidArgument;
+  }
   for (const auto& m : mounts_) {
     const std::string& p = m->prefix;
     if (p == "/") {
@@ -156,7 +160,7 @@ FileServer::Mount* FileServer::MountFor(const std::string& path, std::string* re
       return m.get();
     }
   }
-  return nullptr;
+  return base::Status::kNotFound;
 }
 
 base::Result<NodeId> FileServer::LookupChild(mk::Env& env, Mount* mount, NodeId dir,
@@ -251,12 +255,13 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   FsReply reply;
   kernel_.cpu().Execute(UnionSemRegion());
   std::string rest;
-  Mount* mount = MountFor(r.path, &rest);
-  if (mount == nullptr) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
+  auto found = MountFor(r.path, &rest);
+  if (!found.ok()) {
+    reply.status = static_cast<int32_t>(found.status());
     env.RpcReply(rpc.token, &reply, sizeof(reply));
     return;
   }
+  Mount* mount = *found;
   const bool ci = (r.flags & kFsCaseInsensitive) != 0;
   NodeId parent = 0;
   std::string leaf;
@@ -732,12 +737,13 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
   FsReply reply;
   kernel_.cpu().Execute(UnionSemRegion());
   std::string rest;
-  Mount* mount = MountFor(r.path, &rest);
-  if (mount == nullptr) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
+  auto found = MountFor(r.path, &rest);
+  if (!found.ok()) {
+    reply.status = static_cast<int32_t>(found.status());
     env.RpcReply(rpc.token, &reply, sizeof(reply));
     return;
   }
+  Mount* mount = *found;
   const bool ci = (r.flags & kFsCaseInsensitive) != 0;
   switch (r.op) {
     case FsOp::kGetAttr: {
@@ -797,8 +803,12 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
         break;
       }
       std::string rest2;
-      Mount* mount2 = MountFor(r.path2, &rest2);
-      if (mount2 != mount) {
+      auto mount2 = MountFor(r.path2, &rest2);
+      if (mount2.status() == base::Status::kInvalidArgument) {
+        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+        break;
+      }
+      if (mount2.value_or(nullptr) != mount) {
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);  // cross-FS rename
         break;
       }
@@ -946,7 +956,7 @@ base::Status FsClient::Call(mk::Env& env, const FsRequest& r, FsReply* reply, mk
 base::Status FsClient::CallHandle(mk::Env& env, uint64_t handle, FsRequest& r, FsReply* reply,
                                   mk::RpcRef* ref) {
   auto it = opens_.find(handle);
-  for (int attempt = 0;; ++attempt) {
+  for (;;) {
     // A handle this client never opened (e.g. inherited across Fork) is
     // the server's own and goes out as-is.
     r.handle = it == opens_.end() ? handle : it->second.server_handle;
@@ -958,7 +968,11 @@ base::Status FsClient::CallHandle(mk::Env& env, uint64_t handle, FsRequest& r, F
     // The server's answer for a handle it never issued: kInvalidArgument
     // from the I/O ops, kNotFound from SetSize and the lock ops.
     const bool unknown = app == base::Status::kInvalidArgument || app == base::Status::kNotFound;
-    if (attempt > 0 || !unknown || it == opens_.end() || it->second.epoch == epoch_) {
+    // Re-open whenever the binding moved on since the handle was (re-)opened:
+    // the instance that answered a re-open can crash before the retried op
+    // reaches it. Each further round needs a fresh rebinding, i.e. another
+    // failed instance, so the restart budget bounds the loop.
+    if (!unknown || it == opens_.end() || it->second.epoch == epoch_) {
       return base::Status::kOk;
     }
     const base::Status ro = Reopen(env, it->second);

@@ -124,7 +124,10 @@ class FileServer {
   // [offset, offset+len) so mapped readers refault and observe a write made
   // through the file API. No-op when the node isn't mapped.
   void InvalidateMappedRange(Mount* mount, NodeId node, uint64_t offset, uint64_t len);
-  Mount* MountFor(const std::string& path, std::string* rest);
+  // The mount serving absolute `path`, with the path below the mount point
+  // in `rest`. kInvalidArgument unless `path` starts with '/'; kNotFound
+  // when no mount covers it.
+  base::Result<Mount*> MountFor(const std::string& path, std::string* rest);
   // Walks `rest` within `mount`; returns the final node and (optionally) its
   // parent + leaf name. Honours kFsCaseInsensitive over case-sensitive PFSes
   // by falling back to a directory scan (one of the union-semantics costs).
@@ -306,8 +309,8 @@ class FsClient : private FsCacheBackend {
   // The one per-binding function: one request, one reply.
   base::Status Call(mk::Env& env, const FsRequest& r, FsReply* reply, mk::RpcRef* ref = nullptr);
   // Call for an op naming caller handle `handle`: sends the server handle
-  // behind it, and re-opens + retries once when the handle predates the
-  // current epoch and the server answers that it does not know it.
+  // behind it, and re-opens + retries when the handle predates the current
+  // epoch and the server answers that it does not know it.
   base::Status CallHandle(mk::Env& env, uint64_t handle, FsRequest& r, FsReply* reply,
                           mk::RpcRef* ref = nullptr);
   base::Status Reopen(mk::Env& env, OpenRecord& rec);

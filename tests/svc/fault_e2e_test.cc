@@ -159,6 +159,49 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
+// Seed 25 of the campaign above lands its second crash on an op retried
+// right after a re-open: the instance that answered the re-open dies before
+// the retry reaches it, and the retry meets a third instance that knows
+// neither handle. The client must re-open again, not hand the caller the
+// server's kInvalidArgument.
+TEST_F(FaultE2eTest, CrashBetweenReopenAndRetryIsInvisibleToRobustClient) {
+  kernel_.faults().Enable(25);
+  kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
+                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2, "fs");
+  uint64_t reopens = 0;
+  kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
+    mks::NameClient nc(ns_for_client_);
+    auto right =
+        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
+    ASSERT_TRUE(right.ok());
+    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+    FsClient session(ns_for_client_, kFsName);
+    auto handle = session.Open(env, "/campaign.dat", kFsCreate | kFsWrite);
+    ASSERT_TRUE(handle.ok()) << base::StatusName(handle.status());
+    for (uint32_t i = 0; i < 8; ++i) {
+      char block[64] = {};
+      std::snprintf(block, sizeof(block), "record %u", i);
+      auto wrote = session.Write(env, *handle, i * sizeof(block), block, sizeof(block));
+      ASSERT_TRUE(wrote.ok()) << "write " << i << ": " << base::StatusName(wrote.status());
+      char back[64] = {};
+      auto got = session.Read(env, *handle, i * sizeof(block), back, sizeof(back));
+      ASSERT_TRUE(got.ok()) << "read " << i << ": " << base::StatusName(got.status());
+      EXPECT_STREQ(back, block);
+    }
+    ASSERT_EQ(session.Close(env, *handle), base::Status::kOk);
+    reopens = session.reopens();
+    kernel_.faults().DisarmAll();
+    servers_.back()->Stop();
+    mgr_->Stop();
+    ns_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  // Both crashes fired, and each cost one re-open: the second one re-opened
+  // a handle that was itself a re-open.
+  EXPECT_EQ(kernel_.faults().fires(mk::fault::FaultPoint::kServerHandlerEntry), 2u);
+  EXPECT_EQ(reopens, 2u);
+}
+
 // The same crash campaign with the client-side cache ENABLED: write-behind,
 // read-ahead and the attribute cache must stay coherent across server
 // respawns — the restart manager's death notice bumps the cache generation,

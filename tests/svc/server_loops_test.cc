@@ -148,6 +148,39 @@ INSTANTIATE_TEST_SUITE_P(EveryServer, OversizedRequestTest,
                            return info.param.name;
                          });
 
+// A path op whose path is empty or relative is answered with
+// kInvalidArgument, and the file server keeps serving. Paths name mounts by
+// prefix, so only an absolute path can reach one: stripping the "/" mount's
+// prefix from "" would throw out of the server and abort the simulation.
+class FileServerPathTest : public mk::KernelTest {};
+
+TEST_F(FileServerPathTest, EmptyAndRelativePathsAreRejectedAndServingContinues) {
+  mk::Task* client = kernel_.CreateTask("client");
+  mks::BackdoorBlockStore store(SmallDisk(machine_), 10'000);
+  BlockCache cache(kernel_, &store, 64);
+  JfsFs jfs(kernel_, &cache, 1024);
+  FileServer server(kernel_, kernel_.CreateTask("fs"));
+  ASSERT_EQ(server.AddMount("/", &jfs), base::Status::kOk);
+  const mk::PortName service = server.GrantTo(*client);
+  std::vector<base::Status> rejected;
+  base::Status after = base::Status::kInternal;
+  kernel_.CreateThread(client, "client", [&](mk::Env& env) {
+    ASSERT_EQ(jfs.Format(env), base::Status::kOk);
+    FsClient fs(service);
+    rejected.push_back(fs.Open(env, "", kFsCreate | kFsWrite).status());
+    rejected.push_back(fs.Mkdir(env, ""));
+    rejected.push_back(fs.Open(env, "dir/file", kFsCreate | kFsWrite).status());
+    rejected.push_back(fs.Mkdir(env, "dir"));
+    EXPECT_EQ(fs.Mkdir(env, "/from"), base::Status::kOk);
+    rejected.push_back(fs.Rename(env, "/from", ""));
+    after = fs.Mkdir(env, "/after");
+    server.Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(rejected, std::vector<base::Status>(5, base::Status::kInvalidArgument));
+  EXPECT_EQ(after, base::Status::kOk);
+}
+
 // --- Scoped faults and spans in every server ---------------------------------------------
 
 // Labels of every RPC server loop, in probe order.
