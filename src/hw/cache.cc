@@ -19,20 +19,6 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   lines_.resize(static_cast<size_t>(num_sets) * config.ways);
 }
 
-Cache::AccessResult Cache::Miss(Line* set, uint64_t tag, bool write) {
-  ++stats_.misses;
-  const Line& victim = set[config_.ways - 1];
-  const bool writeback = victim.dirty;
-  if (writeback) {
-    ++stats_.writebacks;
-  }
-  for (uint32_t w = config_.ways - 1; w > 0; --w) {
-    set[w] = set[w - 1];
-  }
-  set[0] = Line{.tag = tag, .dirty = write};
-  return {.hit = false, .writeback = writeback};
-}
-
 void Cache::Flush() {
   for (Line& line : lines_) {
     if (line.dirty) {

@@ -94,41 +94,25 @@ class Cpu {
   void ExecuteInstructions(const CodeRegion& region, uint64_t instructions);
 
   // --- Data access ----------------------------------------------------------
-  // Cached access to physical memory (kernel structures, copies). Inline,
-  // like the cache and TLB hit paths: kernel copy loops call it per line.
+  // Cached access to physical memory (kernel structures, copies): one D-cache
+  // run over the lines [paddr, paddr + size) spans.
   void AccessData(PhysAddr paddr, uint32_t size, bool write) {
     ++data_accesses_;
     if (access_observer_) {
       access_observer_(paddr, size, write);
     }
-    const uint32_t line = config_.dcache.line_bytes;
-    const PhysAddr mask = ~static_cast<PhysAddr>(line - 1);
-    const PhysAddr last = (paddr + (size == 0 ? 0 : size - 1)) & mask;
-    for (PhysAddr a = paddr & mask; a <= last; a += line) {
-      const Cache::AccessResult r = dcache_.Access(a, write);
-      if (!r.hit) {
-        cycles_ += config_.dcache_miss_cycles;
-        bus_cycles_ += config_.bus_per_fill;
-      }
-      if (r.writeback) {
-        cycles_ += config_.writeback_cycles;
-        bus_cycles_ += config_.bus_per_writeback;
-      }
-    }
+    DataRun(paddr, size, write);
   }
 
-  // Cached access through a virtual address: models the TLB lookup for the
-  // page containing `vaddr` and, on a TLB miss, a page walk touching the PTE
-  // at `pte_paddr`, then the D-cache access at `paddr`.
-  void AccessTranslated(VirtAddr vaddr, PhysAddr paddr, PhysAddr pte_paddr, uint32_t size,
-                        bool write) {
-    if (!tlb_.Access(PageIndex(vaddr))) {
-      cycles_ += config_.tlb_walk_cycles;
-      // The hardware walker reads the PTE through the data cache.
-      AccessData(pte_paddr, 4, /*write=*/false);
-    }
-    AccessData(paddr, size, write);
-  }
+  // Cached access to `len` bytes through a virtual address, made the way a
+  // copy loop makes it: one translated access per D-cache-line-sized piece.
+  // Each piece looks up the TLB for its page (on a miss, a page walk reads
+  // the PTE at `pte_paddr` through the D-cache) and then accesses its bytes
+  // at `paddr` like AccessData. Every piece must start in the page of `vaddr`.
+  // Charged as one TLB lookup and one D-cache run; the counts equal the
+  // piece-by-piece ones exactly (see the .cc).
+  void AccessTranslated(VirtAddr vaddr, PhysAddr paddr, PhysAddr pte_paddr, uint64_t len,
+                        bool write);
 
   // Uncached device-register access.
   void AccessUncached(PhysAddr paddr, uint32_t size, bool write);
@@ -188,6 +172,16 @@ class Cpu {
 
   ExecuteObserver execute_observer_;
   AccessObserver access_observer_;
+
+  // One charged D-cache run over the lines [paddr, paddr + len) spans (the
+  // line of `paddr` when len is 0).
+  void DataRun(PhysAddr paddr, uint64_t len, bool write) {
+    const uint32_t shift = dcache_.line_shift();
+    const uint64_t lines = ((paddr + (len == 0 ? 0 : len - 1)) >> shift) - (paddr >> shift) + 1;
+    const Cache::RunResult run = dcache_.AccessRun(paddr, lines, config_.dcache.line_bytes, write);
+    cycles_ += run.misses * config_.dcache_miss_cycles + run.writebacks * config_.writeback_cycles;
+    bus_cycles_ += run.misses * config_.bus_per_fill + run.writebacks * config_.bus_per_writeback;
+  }
 };
 
 }  // namespace hw

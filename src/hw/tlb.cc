@@ -15,14 +15,6 @@ Tlb::Tlb(const TlbConfig& config) : config_(config) {
   entries_.assign(config.entries, kNoVpn);
 }
 
-void Tlb::Miss(uint64_t* set, uint64_t vpn) {
-  ++stats_.misses;
-  for (uint32_t w = config_.ways - 1; w > 0; --w) {
-    set[w] = set[w - 1];
-  }
-  set[0] = vpn;
-}
-
 void Tlb::Flush() {
   ++stats_.flushes;
   std::fill(entries_.begin(), entries_.end(), kNoVpn);

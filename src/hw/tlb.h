@@ -4,8 +4,7 @@
 //
 // Replacement is LRU within a set, kept the same way as in Cache: each set is
 // in recency order, most recent entry first, and a miss evicts the last
-// entry. The hit path is inline because the Cpu looks up every translated
-// access.
+// entry.
 #ifndef SRC_HW_TLB_H_
 #define SRC_HW_TLB_H_
 
@@ -36,18 +35,27 @@ class Tlb {
   bool Access(uint64_t vpn) {
     ++stats_.accesses;
     uint64_t* set = &entries_[(vpn & set_mask_) * config_.ways];
-    for (uint32_t w = 0; w < config_.ways; ++w) {
-      if (set[w] == vpn) {
-        for (; w > 0; --w) {
-          set[w] = set[w - 1];
-        }
-        set[0] = vpn;
-        return true;
-      }
+    uint32_t w = 0;
+    while (w < config_.ways && set[w] != vpn) {
+      ++w;
     }
-    Miss(set, vpn);
-    return false;
+    const bool hit = w < config_.ways;
+    if (!hit) {
+      // The last (least recent) entry is the victim.
+      w = config_.ways - 1;
+      ++stats_.misses;
+    }
+    for (; w > 0; --w) {
+      set[w] = set[w - 1];
+    }
+    set[0] = vpn;
+    return hit;
   }
+
+  // Count `n` more lookups of the page looked up last. Its entry is at the
+  // front of its set, so each lookup is a hit that changes no state: only
+  // the access count moves.
+  void RepeatLast(uint64_t n) { stats_.accesses += n; }
 
   void Flush();
 
@@ -56,9 +64,6 @@ class Tlb {
  private:
   // An invalid entry holds kNoVpn; a page index never reaches it.
   static constexpr uint64_t kNoVpn = ~uint64_t{0};
-
-  // Install `vpn` at the front of `set`, evicting its last (least recent) entry.
-  void Miss(uint64_t* set, uint64_t vpn);
 
   TlbConfig config_;
   uint64_t set_mask_;

@@ -490,12 +490,7 @@ base::Result<hw::PhysAddr> Kernel::ResolveForAccess(Task& task, hw::VirtAddr vad
 
 void Kernel::AccessUser(Task& task, hw::VirtAddr vaddr, hw::PhysAddr pa, uint64_t len,
                         bool write) {
-  const uint32_t line = cpu().config().dcache.line_bytes;
-  const hw::PhysAddr pte = task.pmap().PteAddr(hw::PageIndex(vaddr));
-  for (uint64_t o = 0; o < len; o += line) {
-    const uint32_t n = static_cast<uint32_t>(len - o < line ? len - o : line);
-    cpu().AccessTranslated(vaddr + o, pa + o, pte, n, write);
-  }
+  cpu().AccessTranslated(vaddr, pa, task.pmap().PteAddr(hw::PageIndex(vaddr)), len, write);
 }
 
 namespace {

@@ -1,10 +1,17 @@
-// Differential test: the recency-ordered Cache and Tlb against a reference
+// Differential tests: the recency-ordered Cache and Tlb against a reference
 // model that keeps a per-line access stamp and picks its victim by scanning
 // for the first invalid way, else the smallest stamp. The two
 // representations must agree access by access on seeded streams of reads,
 // writes and flushes, across associativities and sizes.
+//
+// The Cpu charges the cache in runs (Cache::AccessRun, one TLB lookup and
+// one D-cache run per translated chunk). A per-line reference Cpu built on
+// the stamped models charges the same operations one line and one
+// line-sized piece at a time; the two must agree on every counter, every cache and TLB
+// statistic and the access-observer call log after every operation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <tuple>
@@ -245,6 +252,311 @@ INSTANTIATE_TEST_SUITE_P(Geometries, TlbLruDifferentialTest,
                                            std::make_tuple(64u, 1u), std::make_tuple(64u, 2u),
                                            std::make_tuple(64u, 8u), std::make_tuple(16u, 4u),
                                            std::make_tuple(128u, 8u)));
+
+// --- Cache runs ---------------------------------------------------------------------------
+
+class CacheRunDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint32_t>> {};
+
+TEST_P(CacheRunDifferentialTest, RunMatchesPerLineAccesses) {
+  const auto [size, line, ways] = GetParam();
+  const CacheConfig config{.size_bytes = size, .line_bytes = line, .ways = ways};
+  for (const uint64_t seed : kSeeds) {
+    Cache cache(config);
+    RefCache ref(config);
+    std::mt19937_64 rng(seed);
+    const uint64_t footprint = 4ull * cache.num_lines();
+    for (int i = 0; i < kSteps / 16; ++i) {
+      const uint64_t r = rng();
+      const bool write = (r >> 20) % 4 == 0;
+      const PhysAddr addr = Draw(rng, footprint) * line + (r >> 32) % line;
+      const uint64_t count = (r >> 8) % 40;
+      // Strides of whole lines (sparse code), zero (one line again) and any
+      // byte count below three lines (runs that skip or revisit lines).
+      const uint64_t stride = (r >> 40) % 3 == 0 ? (r >> 44) % (3 * line) : line * ((r >> 44) % 4);
+      const Cache::RunResult got = cache.AccessRun(addr, count, stride, write);
+      Cache::RunResult want;
+      for (uint64_t k = 0; k < count; ++k) {
+        const Cache::AccessResult one = ref.Access(addr + k * stride, write);
+        want.misses += one.hit ? 0 : 1;
+        want.writebacks += one.writeback ? 1 : 0;
+      }
+      ASSERT_EQ(got.misses, want.misses) << "seed " << seed << " step " << i;
+      ASSERT_EQ(got.writebacks, want.writebacks) << "seed " << seed << " step " << i;
+      ASSERT_EQ(cache.stats().accesses, ref.stats().accesses) << "seed " << seed << " step " << i;
+    }
+    EXPECT_EQ(cache.stats().misses, ref.stats().misses) << "seed " << seed;
+    EXPECT_EQ(cache.stats().writebacks, ref.stats().writebacks) << "seed " << seed;
+    EXPECT_GT(cache.stats().misses, 0u);
+    EXPECT_LT(cache.stats().misses, cache.stats().accesses);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, CacheRunDifferentialTest,
+                         ::testing::Values(std::make_tuple(8192u, 32u, 1u),
+                                           std::make_tuple(8192u, 32u, 2u),
+                                           std::make_tuple(8192u, 32u, 4u),
+                                           std::make_tuple(8192u, 32u, 8u),
+                                           std::make_tuple(1024u, 16u, 4u),
+                                           std::make_tuple(32768u, 64u, 8u)));
+
+// --- Cpu runs -------------------------------------------------------------------------------
+
+struct ObservedAccess {
+  PhysAddr paddr = 0;
+  uint32_t size = 0;
+  bool write = false;
+  bool operator==(const ObservedAccess&) const = default;
+};
+
+// The Cpu cost model charged one line and one line-sized translated piece at
+// a time, over the stamped reference cache and TLB.
+class RefCpu {
+ public:
+  explicit RefCpu(const CpuConfig& c)
+      : config_(c), icache_(c.icache), dcache_(c.dcache), tlb_(c.tlb) {}
+
+  void ExecuteInstructions(const CodeRegion& region, uint64_t instructions) {
+    if (instructions == 0) {
+      return;
+    }
+    c_.instructions += instructions;
+    frac_ += static_cast<double>(instructions) * config_.base_cpi;
+    const Cycles whole = static_cast<Cycles>(frac_);
+    frac_ -= static_cast<double>(whole);
+    c_.cycles += whole;
+    const uint64_t bytes = std::min<uint64_t>(instructions, region.instructions) *
+                           kBytesPerInstruction;
+    const uint32_t line = config_.icache.line_bytes;
+    PhysAddr a = region.base & ~static_cast<PhysAddr>(line - 1);
+    for (uint64_t i = 0; i < (bytes + line - 1) / line; ++i, a += line * region.sparsity) {
+      if (!icache_.Access(a, /*write=*/false).hit) {
+        ++c_.icache_misses;
+        c_.cycles += config_.icache_miss_cycles;
+        c_.bus_cycles += config_.bus_per_fill;
+      }
+    }
+  }
+
+  void AccessData(PhysAddr paddr, uint32_t size, bool write) {
+    ++c_.data_accesses;
+    log.push_back({paddr, size, write});
+    const uint32_t line = config_.dcache.line_bytes;
+    const PhysAddr mask = ~static_cast<PhysAddr>(line - 1);
+    const PhysAddr last = (paddr + (size == 0 ? 0 : size - 1)) & mask;
+    for (PhysAddr a = paddr & mask; a <= last; a += line) {
+      const Cache::AccessResult r = dcache_.Access(a, write);
+      if (!r.hit) {
+        ++c_.dcache_misses;
+        c_.cycles += config_.dcache_miss_cycles;
+        c_.bus_cycles += config_.bus_per_fill;
+      }
+      if (r.writeback) {
+        c_.cycles += config_.writeback_cycles;
+        c_.bus_cycles += config_.bus_per_writeback;
+      }
+    }
+  }
+
+  // One TLB lookup and one data access per line-sized piece, as the kernel's
+  // user-access loop issued them.
+  void AccessTranslated(VirtAddr vaddr, PhysAddr paddr, PhysAddr pte_paddr, uint64_t len,
+                        bool write) {
+    const uint32_t line = config_.dcache.line_bytes;
+    for (uint64_t o = 0; o < len; o += line) {
+      if (!tlb_.Access(PageIndex(vaddr + o))) {
+        ++c_.tlb_misses;
+        c_.cycles += config_.tlb_walk_cycles;
+        AccessData(pte_paddr, 4, /*write=*/false);
+      }
+      AccessData(paddr + o, static_cast<uint32_t>(std::min<uint64_t>(line, len - o)), write);
+    }
+  }
+
+  void FlushTlb() { tlb_.Flush(); }
+  void FlushCaches() {
+    icache_.Flush();
+    dcache_.Flush();
+  }
+
+  const CpuCounters& counters() const { return c_; }
+  const CacheStats& icache_stats() const { return icache_.stats(); }
+  const CacheStats& dcache_stats() const { return dcache_.stats(); }
+  const TlbStats& tlb_stats() const { return tlb_.stats(); }
+
+  std::vector<ObservedAccess> log;
+
+ private:
+  CpuConfig config_;
+  RefCache icache_;
+  RefCache dcache_;
+  RefTlb tlb_;
+  CpuCounters c_;
+  double frac_ = 0.0;
+};
+
+::testing::AssertionResult SameState(Cpu& cpu, std::vector<ObservedAccess>& cpu_log, RefCpu& ref) {
+  const CpuCounters a = cpu.counters();
+  const CpuCounters& b = ref.counters();
+  const auto stats_equal = [](const CacheStats& x, const CacheStats& y) {
+    return x.accesses == y.accesses && x.misses == y.misses && x.writebacks == y.writebacks;
+  };
+  if (a.instructions != b.instructions || a.cycles != b.cycles || a.bus_cycles != b.bus_cycles ||
+      a.icache_misses != b.icache_misses || a.dcache_misses != b.dcache_misses ||
+      a.tlb_misses != b.tlb_misses || a.data_accesses != b.data_accesses ||
+      a.uncached_accesses != b.uncached_accesses) {
+    return ::testing::AssertionFailure()
+           << "counters differ: cycles " << a.cycles << " vs " << b.cycles << ", bus "
+           << a.bus_cycles << " vs " << b.bus_cycles << ", data accesses " << a.data_accesses
+           << " vs " << b.data_accesses << ", tlb misses " << a.tlb_misses << " vs "
+           << b.tlb_misses;
+  }
+  if (!stats_equal(cpu.icache_stats(), ref.icache_stats())) {
+    return ::testing::AssertionFailure() << "I-cache stats differ";
+  }
+  if (!stats_equal(cpu.dcache_stats(), ref.dcache_stats())) {
+    return ::testing::AssertionFailure()
+           << "D-cache stats differ: accesses " << cpu.dcache_stats().accesses << " vs "
+           << ref.dcache_stats().accesses;
+  }
+  const TlbStats& ta = cpu.tlb_stats();
+  const TlbStats& tb = ref.tlb_stats();
+  if (ta.accesses != tb.accesses || ta.misses != tb.misses || ta.flushes != tb.flushes) {
+    return ::testing::AssertionFailure() << "TLB stats differ: accesses " << ta.accesses
+                                         << " vs " << tb.accesses;
+  }
+  if (cpu_log != ref.log) {
+    return ::testing::AssertionFailure() << "observer logs differ: " << cpu_log.size()
+                                         << " vs " << ref.log.size() << " calls";
+  }
+  cpu_log.clear();
+  ref.log.clear();
+  return ::testing::AssertionSuccess();
+}
+
+class CpuRunDifferentialTest : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>> {
+ protected:
+  CpuConfig Config() const {
+    const auto [line, ways] = GetParam();
+    CpuConfig config;
+    config.icache = {.size_bytes = 8192, .line_bytes = line, .ways = ways};
+    config.dcache = {.size_bytes = 8192, .line_bytes = line, .ways = ways};
+    config.tlb = {.entries = 64, .ways = ways};
+    return config;
+  }
+};
+
+constexpr uint64_t kPages = 256;  // four times the TLB: lookups hit and miss
+constexpr PhysAddr kPteBase = 0x200000;
+
+// The frame a virtual page maps to, scattered so frames alias in the cache.
+PhysAddr FrameOf(uint64_t vpn) { return ((vpn * 37 + 11) % 1024) * kPageSize; }
+
+void Translated(Cpu& cpu, RefCpu& ref, uint64_t vpn, uint64_t offset, uint64_t len, bool write) {
+  const VirtAddr va = (0x40000 + vpn) * kPageSize + offset;
+  const PhysAddr pa = FrameOf(vpn) + offset;
+  cpu.AccessTranslated(va, pa, kPteBase + vpn * 4, len, write);
+  ref.AccessTranslated(va, pa, kPteBase + vpn * 4, len, write);
+}
+
+TEST_P(CpuRunDifferentialTest, EveryMisalignmentAndLengthWithinAPage) {
+  Cpu cpu(Config());
+  RefCpu ref(Config());
+  std::vector<ObservedAccess> cpu_log;
+  cpu.set_access_observer([&](PhysAddr paddr, uint32_t size, bool write) {
+    cpu_log.push_back({paddr, size, write});
+  });
+  uint64_t vpn = 0;
+  for (uint64_t misalign = 0; misalign < 32; ++misalign) {
+    for (uint64_t len = 0; len + misalign <= kPageSize; len += (len < 80 ? 1 : 61)) {
+      for (const bool write : {false, true}) {
+        // A fresh page (TLB miss), then the same page again (TLB hit).
+        vpn = (vpn + 1) % kPages;
+        Translated(cpu, ref, vpn, misalign, len, write);
+        ASSERT_TRUE(SameState(cpu, cpu_log, ref)) << "misalign " << misalign << " len " << len;
+        Translated(cpu, ref, vpn, misalign, len, write);
+        ASSERT_TRUE(SameState(cpu, cpu_log, ref)) << "misalign " << misalign << " len " << len;
+      }
+    }
+    // The last byte of the page, alone and misaligned.
+    Translated(cpu, ref, vpn, kPageSize - 1, 1, true);
+    ASSERT_TRUE(SameState(cpu, cpu_log, ref));
+  }
+  EXPECT_GT(cpu.tlb_stats().misses, 0u);
+  EXPECT_LT(cpu.tlb_stats().misses, cpu.tlb_stats().accesses);
+}
+
+TEST_P(CpuRunDifferentialTest, SeededStreamsOfExecutionAndDataAccess) {
+  const CodeRegion regions[] = {
+      {.base = 0x100000, .instructions = 200, .sparsity = 1},
+      {.base = 0x100320, .instructions = 37, .sparsity = 3},
+      {.base = 0x110004, .instructions = 900, .sparsity = 2},
+      {.base = 0x121000, .instructions = 16, .sparsity = 1},
+  };
+  for (const uint64_t seed : kSeeds) {
+    Cpu cpu(Config());
+    RefCpu ref(Config());
+    std::vector<ObservedAccess> cpu_log;
+    cpu.set_access_observer([&](PhysAddr paddr, uint32_t size, bool write) {
+      cpu_log.push_back({paddr, size, write});
+    });
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < kSteps / 20; ++i) {
+      const uint64_t r = rng();
+      const bool write = (r >> 8) % 3 == 0;
+      switch (r % 16) {
+        case 0:
+          cpu.FlushTlb();
+          ref.FlushTlb();
+          break;
+        case 1:
+          if ((r >> 16) % 8 == 0) {
+            cpu.FlushCaches();
+            ref.FlushCaches();
+          }
+          break;
+        case 2:
+        case 3:
+        case 4: {
+          const CodeRegion& region = regions[(r >> 16) % 4];
+          // Whole region, a prefix, or a copy loop re-running its body.
+          const uint64_t n = (r >> 20) % 3 == 0 ? region.instructions
+                                                : (r >> 24) % (3 * region.instructions);
+          cpu.ExecuteInstructions(region, n);
+          ref.ExecuteInstructions(region, n);
+          break;
+        }
+        case 5:
+        case 6:
+        case 7: {
+          const PhysAddr pa = Draw(rng, 64 * 1024);
+          const uint32_t size = static_cast<uint32_t>((r >> 16) % 8 == 0 ? (r >> 20) % 600
+                                                                          : (r >> 20) % 9);
+          cpu.AccessData(pa, size, write);
+          ref.AccessData(pa, size, write);
+          break;
+        }
+        default: {
+          const uint64_t vpn = Draw(rng, kPages);
+          const uint64_t offset = (r >> 16) % kPageSize;
+          const uint64_t room = kPageSize - offset;
+          const uint64_t len = (r >> 32) % 4 == 0 ? room : (r >> 36) % (room + 1);
+          Translated(cpu, ref, vpn, offset, len, write);
+          break;
+        }
+      }
+      ASSERT_TRUE(SameState(cpu, cpu_log, ref)) << "seed " << seed << " step " << i;
+    }
+    EXPECT_GT(cpu.tlb_stats().misses, 0u);
+    EXPECT_GT(cpu.counters().icache_misses, 0u);
+    EXPECT_GT(cpu.dcache_stats().writebacks, 0u);
+  }
+}
+
+// 1/2/4/8 ways (I-cache, D-cache and TLB) by 16/32/64-byte lines.
+INSTANTIATE_TEST_SUITE_P(Geometries, CpuRunDifferentialTest,
+                         ::testing::Combine(::testing::Values(16u, 32u, 64u),
+                                            ::testing::Values(1u, 2u, 4u, 8u)));
 
 }  // namespace
 }  // namespace hw

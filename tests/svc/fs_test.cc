@@ -296,6 +296,23 @@ TEST_F(PfsTest, JfsJournalReplayAfterCrash) {
   });
 }
 
+TEST_F(PfsTest, JfsFailedCreateAbortsItsTransaction) {
+  // A never-formatted JFS has no block bitmap, so a directory create fails
+  // after its transaction has staged the new inode. The failure must end
+  // the transaction: the next metadata op answers a status instead of
+  // aborting on a nested transaction.
+  JfsFs jfs(kernel_, cache_.get(), 16384);
+  RunInThread([&](mk::Env& env) {
+    EXPECT_EQ(jfs.Create(env, InodeFs::kRootInode, "first", true).status(),
+              base::Status::kNoSpace);
+    EXPECT_EQ(jfs.Create(env, InodeFs::kRootInode, "second", true).status(),
+              base::Status::kNoSpace);
+    // Once formatted, the same file system opens and commits transactions.
+    ASSERT_EQ(jfs.Format(env), base::Status::kOk);
+    EXPECT_TRUE(jfs.Create(env, InodeFs::kRootInode, "third", true).ok());
+  });
+}
+
 TEST_F(PfsTest, JfsRenamePreservesInode) {
   JfsFs jfs(kernel_, cache_.get(), 16384);
   RunInThread([&](mk::Env& env) {

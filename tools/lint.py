@@ -46,11 +46,15 @@ Checks, over every header and source file under src/ and tests/:
      heartbeat, shutdown and survival of oversized requests; a hand-rolled
      loop silently drops all of them. bench/ (the Table 2 null server),
      examples/ and tests/ may call the kernel primitives directly.
-  8. EXPERIMENTS.md's Table 2 quotes BENCH_table2.json: the "Measured
-     trap", "Measured RPC" and "Measured ratio" cells of each row equal the
-     committed trap.* / rpc32.* measured values (instructions, cycles and
-     bus cycles rounded to integers, CPI to one decimal, ratio = RPC/trap
-     to two decimals). A stale row misquotes the paper reproduction.
+  8. EXPERIMENTS.md's Tables 1 and 2 quote the committed bench JSON. In
+     Table 1 the "Paper" and "Measured" cells of each row equal the
+     BENCH_table1.json <row>.ratio (overall.geomean_ratio for the geo-mean
+     row) paper and measured values to two decimals. In Table 2 the
+     "Measured trap", "Measured RPC" and "Measured ratio" cells of each row
+     equal the committed trap.* / rpc32.* measured values of
+     BENCH_table2.json (instructions, cycles and bus cycles rounded to
+     integers, CPI to one decimal, ratio = RPC/trap to two decimals). A
+     stale row misquotes the paper reproduction.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -67,6 +71,8 @@ TRACE_EVENTS_HEADER = Path("src") / "mk" / "trace" / "events.h"
 FAULT_POINTS_HEADER = Path("src") / "mk" / "fault" / "points.h"
 SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
 EXPERIMENTS_DOC = Path("EXPERIMENTS.md")
+TABLE1_BASELINE = Path("BENCH_table1.json")
+TABLE1_OVERALL_ROW = ("Overall (geo mean)", "overall.geomean_ratio")
 TABLE2_BASELINE = Path("BENCH_table2.json")
 # (row label in EXPERIMENTS.md, metric suffix in BENCH_table2.json, cell format)
 TABLE2_ROWS = (
@@ -292,17 +298,43 @@ def check_determinism(rel_path: Path, text: str, errors: list, accessors: set) -
         )
 
 
-def check_table2_doc() -> list:
+def doc_table_rows(heading: str) -> dict:
+    """Maps each row label of EXPERIMENTS.md's `heading` table to (lineno, cells)."""
     doc_lines = (REPO_ROOT / EXPERIMENTS_DOC).read_text(encoding="utf-8").splitlines()
-    bench = json.loads((REPO_ROOT / TABLE2_BASELINE).read_text(encoding="utf-8"))
     rows = {}
-    in_table2 = False
+    in_table = False
     for lineno, line in enumerate(doc_lines, start=1):
         if line.startswith("## "):
-            in_table2 = line.startswith("## Table 2")
-        elif in_table2 and line.startswith("|"):
+            in_table = line.startswith(heading)
+        elif in_table and line.startswith("|"):
             cells = [c.strip() for c in line.strip().strip("|").split("|")]
             rows[cells[0]] = (lineno, cells)
+    return rows
+
+
+def check_table1_doc() -> list:
+    rows = doc_table_rows("## Table 1")
+    bench = json.loads((REPO_ROOT / TABLE1_BASELINE).read_text(encoding="utf-8"))
+    errors = []
+    for key, values in sorted(bench.items()):
+        overall_label, overall_key = TABLE1_OVERALL_ROW
+        label = overall_label if key == overall_key else key.removesuffix(".ratio")
+        if label not in rows:
+            errors.append(f"{EXPERIMENTS_DOC}: Table 1 has no '{label}' row")
+            continue
+        lineno, cells = rows[label]
+        want = [f"{values['paper']:.2f}", f"{values['measured']:.2f}"]
+        if cells[1:3] != want:
+            errors.append(
+                f"{EXPERIMENTS_DOC}:{lineno}: Table 1 '{label}' paper/measured cells "
+                f"{' | '.join(cells[1:3])} do not quote {TABLE1_BASELINE} ({' | '.join(want)})"
+            )
+    return errors
+
+
+def check_table2_doc() -> list:
+    rows = doc_table_rows("## Table 2")
+    bench = json.loads((REPO_ROOT / TABLE2_BASELINE).read_text(encoding="utf-8"))
     errors = []
     for label, key, fmt in TABLE2_ROWS:
         if label not in rows:
@@ -405,6 +437,7 @@ def main() -> int:
                     print(f"lint: {error}", file=sys.stderr)
     cross_file_errors = check_fault_registry_live(fault_registry, fault_used)
     cross_file_errors += check_trace_registry_live(trace_registry, trace_used)
+    cross_file_errors += check_table1_doc()
     cross_file_errors += check_table2_doc()
     if cross_file_errors:
         bad_files += 1
