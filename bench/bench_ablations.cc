@@ -4,6 +4,9 @@
 //   2. RPC cost versus I/D-cache size — the conclusion's architecture claim
 //      read forward: the bigger the on-chip state, the more an RPC's
 //      footprint and address-space switches cost relative to a trap.
+//   8. The server loop's reply: staged and delivered with the next receive
+//      in one RpcReplyAndReceive trap (mk::ServerLoop) versus a reply trap
+//      followed by a receive trap.
 #include <benchmark/benchmark.h>
 
 #include "src/base/log.h"
@@ -18,6 +21,7 @@
 #include "src/hw/disk.h"
 #include "src/hw/machine.h"
 #include "src/mk/kernel.h"
+#include "src/mk/server_loop.h"
 #include "src/mks/pager/default_pager.h"
 #include "src/svc/fs/file_server.h"
 #include "src/svc/fs/inode_fs.h"
@@ -464,6 +468,68 @@ MappedReadResult MappedVsReadPass(bool mapped) {
   return out;
 }
 
+struct LoopEchoResult {
+  double server_entries_per_rpc = 0;
+  double cycles_per_rpc = 0;
+};
+
+// A 32-byte echo served by mk::ServerLoop, or by a hand-written loop that
+// replies and then receives in two traps. Both charge the same loop and stub
+// code per request, so the difference is the trap the combined call saves.
+LoopEchoResult LoopEcho(bool server_loop) {
+  hw::Machine machine(hw::MachineConfig{.ram_bytes = 16 * 1024 * 1024});
+  mk::Kernel kernel(&machine);
+  mk::Task* server_task = kernel.CreateTask("server");
+  mk::Task* client_task = kernel.CreateTask("client");
+  auto recv = kernel.PortAllocate(*server_task);
+  auto send = kernel.MakeSendRight(*server_task, *recv, *client_task);
+  struct EchoRequest {
+    uint32_t op = 1;
+    uint8_t payload[28] = {};
+  };
+  mk::ServerLoop<EchoRequest> loop(*recv, "echo");
+  loop.Register(1, [](mk::Env& env, const mk::RpcRequest& rpc, const EchoRequest& req, uint8_t*,
+                      uint32_t) { env.RpcReply(rpc.token, &req, sizeof(req)); });
+  mk::Thread* server = kernel.CreateThread(server_task, "s", [&, recv = *recv](mk::Env& env) {
+    if (server_loop) {
+      loop.Run(env);
+      return;
+    }
+    const hw::CodeRegion loop_code =
+        hw::DefineKernelCode("loop.echo", mk::Costs::kRpcServerLoop);
+    const hw::CodeRegion stub_code =
+        hw::DefineKernelCode("stub.echo", mk::Costs::kRpcServerStub);
+    EchoRequest req;
+    auto rpc = env.RpcReceive(recv, &req, sizeof(req));
+    while (rpc.ok()) {
+      env.kernel().cpu().Execute(loop_code);
+      env.kernel().cpu().Execute(stub_code);
+      env.RpcReply(rpc->token, &req, sizeof(req));
+      rpc = env.RpcReceive(recv, &req, sizeof(req));
+    }
+  });
+  LoopEchoResult out;
+  kernel.CreateThread(client_task, "c", [&, send = *send](mk::Env& env) {
+    EchoRequest req;
+    EchoRequest reply;
+    for (int i = 0; i < kWarmup; ++i) {
+      (void)env.RpcCall(send, &req, sizeof(req), &reply, sizeof(reply));
+    }
+    const uint64_t c0 = kernel.cpu().cycles();
+    const uint64_t e0 = server->kernel_entries;
+    for (int i = 0; i < kOps; ++i) {
+      WPOS_CHECK(env.RpcCall(send, &req, sizeof(req), &reply, sizeof(reply)) ==
+                 base::Status::kOk);
+    }
+    out.cycles_per_rpc = static_cast<double>(kernel.cpu().cycles() - c0) / kOps;
+    out.server_entries_per_rpc = static_cast<double>(server->kernel_entries - e0) / kOps;
+    loop.Stop();
+    (void)kernel.PortDestroy(*server_task, *recv);
+  });
+  kernel.Run();
+  return out;
+}
+
 void PrintAblations(bench::JsonReport* report, const std::string& trace_path) {
   std::printf("\n=== Ablation 1: direct handoff in the RPC rendezvous ===\n");
   std::printf("%22s %14s %14s %8s\n", "", "handoff", "ready-queue", "ratio");
@@ -606,6 +672,27 @@ void PrintAblations(bench::JsonReport* report, const std::string& trace_path) {
          "against uncached per-page reads";
   std::printf("each read() is a cross-server round trip; a mapped pass faults once\n"
               "per readahead batch, so the pager amortizes the RPC across 8 pages.\n");
+
+  std::printf("\n=== Ablation 8: server loop — reply-and-receive vs reply then receive ===\n");
+  const LoopEchoResult split = LoopEcho(false);
+  const LoopEchoResult combined = LoopEcho(true);
+  std::printf("32-byte echo: reply then receive %.2f server traps %.0f cycles/RPC, "
+              "ServerLoop %.2f server traps %.0f cycles/RPC (%.2fx)\n",
+              split.server_entries_per_rpc, split.cycles_per_rpc,
+              combined.server_entries_per_rpc, combined.cycles_per_rpc,
+              split.cycles_per_rpc / combined.cycles_per_rpc);
+  report->Add("loop_echo.reply_then_receive.server_entries_per_rpc",
+              split.server_entries_per_rpc);
+  report->Add("loop_echo.reply_then_receive.cycles_per_rpc", split.cycles_per_rpc);
+  report->Add("loop_echo.server_loop.server_entries_per_rpc", combined.server_entries_per_rpc);
+  report->Add("loop_echo.server_loop.cycles_per_rpc", combined.cycles_per_rpc);
+  report->Add("loop_echo.ratio", split.cycles_per_rpc / combined.cycles_per_rpc);
+  WPOS_CHECK(split.server_entries_per_rpc - combined.server_entries_per_rpc == 1.0)
+      << "the combined call must save exactly one server trap per request";
+  WPOS_CHECK(combined.cycles_per_rpc < split.cycles_per_rpc)
+      << "the trap the combined call saves must show in cycles per RPC";
+  std::printf("the handler's reply rides on the loop's next receive: one trap per\n"
+              "served request, and the server is parked when the next call arrives.\n");
 }
 
 void BM_Handoff(benchmark::State& state) {

@@ -139,6 +139,9 @@ void Kernel::EnterKernel(const hw::CodeRegion& trap_entry_region) {
   // A single null test when no policy is installed.
   scheduler_.PreemptPoint();
   ++kernel_entries_;
+  if (Thread* t = scheduler_.current(); t != nullptr) {
+    ++t->kernel_entries;
+  }
   if (config_.invariant_check_interval != 0 &&
       kernel_entries_ % config_.invariant_check_interval == 0) {
     WPOS_CHECK(CheckInvariants() == 0)
@@ -294,8 +297,8 @@ void Kernel::TerminateTask(Task* task) {
   }
   task->set_terminated();
   // Notify watchers before tearing the task down so the TaskDeathNotice is
-  // first in their queue, ahead of the PortDeathNotices the teardown emits
-  // (watcher queues are bounded; the task notice is the one that must land).
+  // ahead of the PortDeathNotices the teardown emits (watcher queues are
+  // bounded; the task notice is the one that must land).
   size_t owned_ports = 0;
   for (const auto& port : ports_) {
     if (!port->dead() && port->receiver() == task) {
@@ -391,9 +394,23 @@ void Kernel::NotifyDeathWatchers(uint32_t msg_id, const void* notice, uint32_t l
                         death_watchers_.end());
   for (Port* watcher : death_watchers_) {
     if (watcher->queue.size() >= watcher->queue_limit) {
-      WPOS_LOG(kDebug) << "dropping death notice " << msg_id << ", watcher queue full (port "
-                       << watcher->id() << ")";
-      continue;
+      // The queue stays bounded. Supervision keys off task death notices, so
+      // one makes room by evicting the oldest port death notice (one per
+      // destroyed port, e.g. every closed file); left unread, those would
+      // otherwise crowd it out. Anything else that meets a full queue drops.
+      auto evict = watcher->queue.end();
+      if (msg_id == kTaskDeathMsgId) {
+        evict = std::find_if(watcher->queue.begin(), watcher->queue.end(),
+                             [](const auto& qm) { return qm->msg_id == kPortDeathMsgId; });
+      }
+      if (evict == watcher->queue.end()) {
+        WPOS_LOG(kDebug) << "dropping death notice " << msg_id << ", watcher queue full (port "
+                         << watcher->id() << ")";
+        continue;
+      }
+      WPOS_LOG(kDebug) << "evicting a port death notice for a task death notice, watcher queue "
+                       << "full (port " << watcher->id() << ")";
+      watcher->queue.erase(evict);
     }
     auto qm = std::make_unique<QueuedMessage>();
     qm->msg_id = msg_id;

@@ -215,16 +215,21 @@ class Kernel {
   base::Status RpcReply(uint64_t token, const void* reply, uint32_t len,
                         const void* ref_data = nullptr, uint32_t ref_len = 0,
                         PortName grant = kNullPort, base::Status completion = base::Status::kOk);
-  // Combined reply-and-receive (the classic server-loop fast path): delivers
-  // the reply and atomically re-enters receive on `receive_name`, so the
-  // server is already parked when the client's next call arrives and the
-  // rendezvous can hand off directly in both directions.
+  // Combined reply-and-receive (Mach's mach_msg send+receive, the server-loop
+  // fast path): delivers the reply and atomically re-enters receive on
+  // `receive_name` in the same kernel entry, so the server is already parked
+  // when the client's next call arrives and the rendezvous can hand off
+  // directly in both directions. A stale `token` (the client timed out or
+  // died) drops the reply and still receives. `timeout_ns` bounds the receive
+  // half as in RpcReceive; the reply has landed whatever it returns.
   base::Result<RpcRequest> RpcReplyAndReceive(uint64_t token, const void* reply, uint32_t len,
                                               PortName receive_name, void* buf, uint32_t cap,
                                               RpcRef* ref = nullptr,
                                               const void* reply_ref_data = nullptr,
                                               uint32_t reply_ref_len = 0,
-                                              PortName grant = kNullPort);
+                                              PortName grant = kNullPort,
+                                              base::Status completion = base::Status::kOk,
+                                              uint64_t timeout_ns = kForever);
 
   // --- Legacy Mach 3.0 IPC ------------------------------------------------------------
   base::Status MachMsgSend(MachMessage&& msg, uint64_t timeout_ns = kForever);
@@ -411,9 +416,24 @@ class Kernel {
   base::Status TransferRights(Task& from, Task& to, const RightDescriptor* rights, uint32_t count,
                               std::vector<PortName>* out_names);
   void DeliverRpcToServer(Thread* client, Thread* server);
+  // Ends a server's park on `port` that returned `st` != kOk. Returns true
+  // when a caller delivered a request after the server's timed wake made it
+  // ready but before it ran (that caller's Wake found a ready thread and left
+  // kTimedOut standing): the request is served, not lost with its caller
+  // blocked forever. Otherwise takes the server off the port's deque.
+  bool ParkEndedWithRequest(Port* port, Thread* server, base::Status st);
   base::Status DeliverReply(Thread* server, Thread* client, const void* reply, uint32_t len,
                             const void* ref_data, uint32_t ref_len, PortName grant,
                             base::Status completion);
+  // The reply half shared by RpcReply and RpcReplyAndReceive, run inside the
+  // caller's kernel entry: claims the waiter for `token`, fires the reply
+  // fault point and delivers. Sets `*client` to the thread to resume
+  // (nullptr when the fault point dropped the reply) and returns kOk;
+  // returns kInvalidArgument for a stale token; after a crash or kill-port
+  // fault it has already left the kernel and returns kAborted or kPortDead.
+  base::Status ReplyToWaiter(Thread* server, uint64_t token, const void* reply, uint32_t len,
+                             const void* ref_data, uint32_t ref_len, PortName grant,
+                             base::Status completion, Thread** client);
   base::Status FaultIn(Task& task, VmMapEntry* entry, hw::VirtAddr vaddr, bool write,
                        hw::PhysAddr* out_pa);
   base::Status PagerFill(Task& task, VmObject* object, uint64_t page_index, hw::PhysAddr frame);
@@ -526,12 +546,24 @@ class Env {
                                       RpcRef* ref = nullptr, uint64_t timeout_ns = kForever) {
     return kernel_.RpcReceive(port, buf, cap, ref, timeout_ns);
   }
+  // Inside a ServerLoop handler, a reply to the request being served is
+  // staged: the bytes, the ref data and the grant are copied (the handler's
+  // buffers die with it) and the loop delivers them with its next receive
+  // in one RpcReplyAndReceive trap. A second reply to that request gets
+  // kInvalidArgument, as from the kernel. Any other token (a deferred reply,
+  // such as a lock waiter's) traps at once.
   base::Status RpcReply(uint64_t token, const void* reply, uint32_t len,
                         const void* ref_data = nullptr, uint32_t ref_len = 0,
                         PortName grant = kNullPort,
-                        base::Status completion = base::Status::kOk) {
-    return kernel_.RpcReply(token, reply, len, ref_data, ref_len, grant, completion);
-  }
+                        base::Status completion = base::Status::kOk);
+  // The ServerLoop's one receive: delivers the staged reply, if any, with the
+  // receive (RpcReplyAndReceive), else receives plainly (RpcReceive). A
+  // request received here is the one whose reply RpcReply stages next.
+  base::Result<RpcRequest> ReplyAndReceive(PortName port, void* buf, uint32_t cap, RpcRef* ref,
+                                           uint64_t timeout_ns);
+  // Delivers a staged reply with a plain RpcReply and stops staging: for a
+  // loop that ends, or stops, between a handler and its next receive.
+  void FlushStagedReply();
   base::Status MachMsgReceive(PortName port, MachMessage* out, uint64_t timeout_ns = kForever) {
     return kernel_.MachMsgReceive(port, out, timeout_ns);
   }
@@ -552,6 +584,13 @@ class Env {
  private:
   Kernel& kernel_;
   Thread* thread_;
+  // ServerLoop reply staging (see RpcReply). Token 0 is never issued.
+  uint64_t serving_token_ = 0;
+  bool reply_staged_ = false;
+  std::vector<uint8_t> staged_reply_;
+  std::vector<uint8_t> staged_ref_;
+  PortName staged_grant_ = kNullPort;
+  base::Status staged_completion_ = base::Status::kOk;
 };
 
 }  // namespace mk

@@ -4,6 +4,8 @@
 //   - physical copy replaces virtual copy; large data passed by reference and
 //     copied directly from sender to receiver
 //   - direct thread handoff between client and server.
+#include <algorithm>
+
 #include "src/base/log.h"
 #include "src/mk/kernel.h"
 
@@ -338,6 +340,7 @@ base::Result<RpcRequest> Kernel::RpcReceive(PortName receive_name, void* buf, ui
   // Between requests the server works for nobody: drop any stale trace
   // binding (DeliverRpcToServer rebinds it for the request received here).
   server->trace_ctx = TraceContext{};
+  s.token = 0;  // set again only by a delivered request
   s.srv_buf = buf;
   s.srv_cap = cap;
   s.srv_ref = ref;
@@ -383,14 +386,7 @@ base::Result<RpcRequest> Kernel::RpcReceive(PortName receive_name, void* buf, ui
     port->waiting_servers.push_back(server);
     StartTimedWake(server, timeout_ns);
     const base::Status st = scheduler_.Block(Thread::State::kBlocked, nullptr);
-    if (st != base::Status::kOk) {
-      // Timed out or aborted: leave the rendezvous deque before returning.
-      for (auto it = port->waiting_servers.begin(); it != port->waiting_servers.end(); ++it) {
-        if (*it == server) {
-          port->waiting_servers.erase(it);
-          break;
-        }
-      }
+    if (st != base::Status::kOk && !ParkEndedWithRequest(port, server, st)) {
       LeaveKernel();
       return st;
     }
@@ -404,6 +400,15 @@ base::Result<RpcRequest> Kernel::RpcReceive(PortName receive_name, void* buf, ui
   out.client_task = s.srv_client_task;
   LeaveKernel();
   return out;
+}
+
+bool Kernel::ParkEndedWithRequest(Port* port, Thread* server, base::Status st) {
+  if (st == base::Status::kTimedOut && server->rpc.token != 0) {
+    return true;
+  }
+  auto& parked = port->waiting_servers;
+  parked.erase(std::remove(parked.begin(), parked.end(), server), parked.end());
+  return false;
 }
 
 // Copies the reply (inline, bulk, granted right) into the blocked client's
@@ -459,11 +464,71 @@ base::Status Kernel::DeliverReply(Thread* server, Thread* client, const void* re
   return c.completion;
 }
 
+base::Status Kernel::ReplyToWaiter(Thread* server, uint64_t token, const void* reply,
+                                   uint32_t len, const void* ref_data, uint32_t ref_len,
+                                   PortName grant, base::Status completion, Thread** client) {
+  *client = nullptr;
+  auto waiter = rpc_waiters_.find(token);
+  if (waiter == rpc_waiters_.end()) {
+    return base::Status::kInvalidArgument;
+  }
+  Thread* target = waiter->second.client;
+  rpc_waiters_.erase(waiter);
+  if (target->rpc.token != token || target->state() != Thread::State::kBlocked) {
+    return base::Status::kInvalidArgument;
+  }
+  server->rpc.client = nullptr;
+  // The reply ends this server's work for the caller: unbind its trace.
+  server->trace_ctx = TraceContext{};
+  // Fault point: the reply. The waiter is already erased, so every mode
+  // leaves the token unreplayable — exactly once per request.
+  switch (faults_->Fire(fault::FaultPoint::kRpcReply)) {
+    case fault::FaultMode::kNone:
+      break;
+    case fault::FaultMode::kDropReply:
+      // Swallow the reply; the client stays blocked until its deadline.
+      return base::Status::kOk;
+    case fault::FaultMode::kCrashTask:
+      target->rpc.completion = base::Status::kPortDead;
+      scheduler_.Wake(target, base::Status::kPortDead);
+      LeaveKernel();
+      TerminateTask(server->task());
+      return base::Status::kAborted;
+    case fault::FaultMode::kKillPort: {
+      Port* request_port = target->rpc.port;
+      target->rpc.completion = base::Status::kPortDead;
+      scheduler_.Wake(target, base::Status::kPortDead);
+      LeaveKernel();
+      if (request_port != nullptr && !request_port->dead()) {
+        DestroyPort(request_port);
+      }
+      return base::Status::kPortDead;
+    }
+    case fault::FaultMode::kTransientError:
+      completion = base::Status::kBusy;
+      len = 0;
+      ref_data = nullptr;
+      ref_len = 0;
+      grant = kNullPort;
+      break;
+    case fault::FaultMode::kStallTask:
+    case fault::FaultMode::kDelayReply:
+      break;  // server-loop-only modes (see points.h); reply normally
+    case fault::FaultMode::kCount:
+      break;
+  }
+  (void)DeliverReply(server, target, reply, len, ref_data, ref_len, grant, completion);
+  *client = target;
+  return base::Status::kOk;
+}
+
 base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* reply,
                                                     uint32_t len, PortName receive_name,
                                                     void* buf, uint32_t cap, RpcRef* ref,
                                                     const void* reply_ref_data,
-                                                    uint32_t reply_ref_len, PortName grant) {
+                                                    uint32_t reply_ref_len, PortName grant,
+                                                    base::Status completion,
+                                                    uint64_t timeout_ns) {
   Thread* server = scheduler_.current();
   WPOS_DCHECK(server != nullptr) << "RpcReplyAndReceive outside thread context";
   if (sync_observer_ != nullptr) {
@@ -473,70 +538,32 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
   cpu().Execute(ReplyPathRegion());
   cpu().Execute(ReceivePathRegion());
 
+  // The reply half. A stale token drops the reply (the client timed out or
+  // died); a dropped reply leaves its client blocked until its deadline.
+  // Either way the receive half runs, so the server keeps serving.
+  Thread* client = nullptr;
+  const base::Status replied = ReplyToWaiter(server, token, reply, len, reply_ref_data,
+                                             reply_ref_len, grant, completion, &client);
+  if (replied == base::Status::kAborted || replied == base::Status::kPortDead) {
+    return replied;  // a reply fault ended the server or its port
+  }
+  // Between requests the server works for nobody (see RpcReceive).
+  server->trace_ctx = TraceContext{};
+
   auto port_r = server->task()->port_space().LookupReceive(receive_name);
   if (!port_r.ok()) {
+    if (client != nullptr) {
+      scheduler_.Wake(client, base::Status::kOk);
+    }
     LeaveKernel();
     return port_r.status();
   }
   Port* port = *port_r;
 
-  auto waiter = rpc_waiters_.find(token);
-  if (waiter == rpc_waiters_.end()) {
-    LeaveKernel();
-    return base::Status::kInvalidArgument;
-  }
-  Thread* client = waiter->second.client;
-  rpc_waiters_.erase(waiter);
-  if (client->rpc.token != token || client->state() != Thread::State::kBlocked) {
-    LeaveKernel();
-    return base::Status::kInvalidArgument;
-  }
-  server->rpc.client = nullptr;
-  // The reply ends this server's work for the caller; unbind its trace
-  // context before the receive half picks up (or waits for) the next one.
-  server->trace_ctx = TraceContext{};
-  // Fault point: the reply (see RpcReply). kDropReply swallows the reply but
-  // still enters the receive, so the server keeps serving.
-  switch (faults_->Fire(fault::FaultPoint::kRpcReply)) {
-    case fault::FaultMode::kNone:
-      (void)DeliverReply(server, client, reply, len, reply_ref_data, reply_ref_len, grant,
-                         base::Status::kOk);
-      break;
-    case fault::FaultMode::kDropReply:
-      client = nullptr;  // stays blocked until its deadline
-      break;
-    case fault::FaultMode::kCrashTask:
-      client->rpc.completion = base::Status::kPortDead;
-      scheduler_.Wake(client, base::Status::kPortDead);
-      LeaveKernel();
-      TerminateTask(server->task());
-      return base::Status::kAborted;
-    case fault::FaultMode::kKillPort: {
-      Port* request_port = client->rpc.port;
-      client->rpc.completion = base::Status::kPortDead;
-      scheduler_.Wake(client, base::Status::kPortDead);
-      LeaveKernel();
-      if (request_port != nullptr && !request_port->dead()) {
-        DestroyPort(request_port);
-      }
-      return base::Status::kPortDead;
-    }
-    case fault::FaultMode::kTransientError:
-      (void)DeliverReply(server, client, reply, 0, nullptr, 0, kNullPort, base::Status::kBusy);
-      break;
-    case fault::FaultMode::kStallTask:
-    case fault::FaultMode::kDelayReply:
-      // Server-loop-only modes (see points.h); deliver normally here.
-      (void)DeliverReply(server, client, reply, len, reply_ref_data, reply_ref_len, grant,
-                         base::Status::kOk);
-      break;
-    case fault::FaultMode::kCount:
-      break;
-  }
-
   // Post the receive buffers BEFORE resuming the replied client, so its next
   // call finds this server already parked (reply_and_wait).
   Thread::RpcState& s = server->rpc;
+  s.token = 0;  // set again only by a delivered request
   s.srv_buf = buf;
   s.srv_cap = cap;
   s.srv_ref = ref;
@@ -598,6 +625,7 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
     return port->dead() ? base::Status::kPortDead : base::Status::kAborted;
   }
   port->waiting_servers.push_back(server);
+  StartTimedWake(server, timeout_ns);
   base::Status st;
   if (client != nullptr) {
     scheduler_.Wake(client, base::Status::kOk);
@@ -605,13 +633,7 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
   } else {
     st = scheduler_.Block(Thread::State::kBlocked, nullptr);
   }
-  if (st != base::Status::kOk) {
-    for (auto it = port->waiting_servers.begin(); it != port->waiting_servers.end(); ++it) {
-      if (*it == server) {
-        port->waiting_servers.erase(it);
-        break;
-      }
-    }
+  if (st != base::Status::kOk && !ParkEndedWithRequest(port, server, st)) {
     LeaveKernel();
     return st;
   }
@@ -636,64 +658,63 @@ base::Status Kernel::RpcReply(uint64_t token, const void* reply, uint32_t len,
   }
   EnterKernel(TrapEntry());
   cpu().Execute(ReplyPathRegion());
-  auto waiter = rpc_waiters_.find(token);
-  if (waiter == rpc_waiters_.end()) {
-    LeaveKernel();
-    return base::Status::kInvalidArgument;
+  Thread* client = nullptr;
+  const base::Status st =
+      ReplyToWaiter(server, token, reply, len, ref_data, ref_len, grant, completion, &client);
+  if (st == base::Status::kAborted || st == base::Status::kPortDead) {
+    return st;  // a reply fault ended the server or its port
   }
-  Thread* client = waiter->second.client;
-  rpc_waiters_.erase(waiter);
-  if (client->rpc.token != token || client->state() != Thread::State::kBlocked) {
-    LeaveKernel();
-    return base::Status::kInvalidArgument;
+  if (client != nullptr) {
+    scheduler_.Wake(client, base::Status::kOk);
+    // Direct handoff back to the client: the paper's synchronous reply path.
+    scheduler_.HandoffTo(client);
   }
-  server->rpc.client = nullptr;
-  // The reply ends this server's work for the caller: unbind its trace.
-  server->trace_ctx = TraceContext{};
-  // Fault point: the reply. The waiter is already erased, so every mode
-  // leaves the token unreplayable — exactly once per request.
-  switch (faults_->Fire(fault::FaultPoint::kRpcReply)) {
-    case fault::FaultMode::kNone:
-      break;
-    case fault::FaultMode::kDropReply:
-      // Swallow the reply; the client stays blocked until its deadline.
-      LeaveKernel();
-      return base::Status::kOk;
-    case fault::FaultMode::kCrashTask:
-      client->rpc.completion = base::Status::kPortDead;
-      scheduler_.Wake(client, base::Status::kPortDead);
-      LeaveKernel();
-      TerminateTask(server->task());
-      return base::Status::kAborted;
-    case fault::FaultMode::kKillPort: {
-      Port* request_port = client->rpc.port;
-      client->rpc.completion = base::Status::kPortDead;
-      scheduler_.Wake(client, base::Status::kPortDead);
-      LeaveKernel();
-      if (request_port != nullptr && !request_port->dead()) {
-        DestroyPort(request_port);
-      }
-      return base::Status::kPortDead;
-    }
-    case fault::FaultMode::kTransientError:
-      completion = base::Status::kBusy;
-      len = 0;
-      ref_data = nullptr;
-      ref_len = 0;
-      grant = kNullPort;
-      break;
-    case fault::FaultMode::kStallTask:
-    case fault::FaultMode::kDelayReply:
-      break;  // server-loop-only modes (see points.h); reply normally
-    case fault::FaultMode::kCount:
-      break;
-  }
-  (void)DeliverReply(server, client, reply, len, ref_data, ref_len, grant, completion);
-  scheduler_.Wake(client, base::Status::kOk);
-  // Direct handoff back to the client: the paper's synchronous reply path.
-  scheduler_.HandoffTo(client);
   LeaveKernel();
+  return st;
+}
+
+base::Status Env::RpcReply(uint64_t token, const void* reply, uint32_t len, const void* ref_data,
+                           uint32_t ref_len, PortName grant, base::Status completion) {
+  if (serving_token_ == 0 || token != serving_token_) {
+    return kernel_.RpcReply(token, reply, len, ref_data, ref_len, grant, completion);
+  }
+  if (reply_staged_) {
+    return base::Status::kInvalidArgument;  // this request already has its reply
+  }
+  const auto* bytes = static_cast<const uint8_t*>(reply);
+  staged_reply_.assign(bytes, bytes + len);
+  const auto* ref_bytes = static_cast<const uint8_t*>(ref_data);
+  staged_ref_.assign(ref_bytes, ref_bytes + (ref_bytes != nullptr ? ref_len : 0));
+  staged_grant_ = grant;
+  staged_completion_ = completion;
+  reply_staged_ = true;
   return base::Status::kOk;
+}
+
+base::Result<RpcRequest> Env::ReplyAndReceive(PortName port, void* buf, uint32_t cap,
+                                              RpcRef* ref, uint64_t timeout_ns) {
+  base::Result<RpcRequest> rpc =
+      reply_staged_
+          ? kernel_.RpcReplyAndReceive(serving_token_, staged_reply_.data(),
+                                       static_cast<uint32_t>(staged_reply_.size()), port, buf,
+                                       cap, ref, staged_ref_.data(),
+                                       static_cast<uint32_t>(staged_ref_.size()), staged_grant_,
+                                       staged_completion_, timeout_ns)
+          : kernel_.RpcReceive(port, buf, cap, ref, timeout_ns);
+  reply_staged_ = false;
+  serving_token_ = rpc.ok() ? rpc->token : 0;
+  return rpc;
+}
+
+void Env::FlushStagedReply() {
+  if (reply_staged_) {
+    reply_staged_ = false;
+    (void)kernel_.RpcReply(serving_token_, staged_reply_.data(),
+                           static_cast<uint32_t>(staged_reply_.size()), staged_ref_.data(),
+                           static_cast<uint32_t>(staged_ref_.size()), staged_grant_,
+                           staged_completion_);
+  }
+  serving_token_ = 0;
 }
 
 }  // namespace mk

@@ -4,8 +4,11 @@
 // span, charges the server's loop and stub code, and demultiplexes on the
 // 32-bit operation code at the start of the request. Requests are POD
 // structs whose first field is the op code; the loop hands each handler a
-// value-initialized copy of the received bytes. It also owns shutdown
-// (Stop), survival of oversized requests, and watchdog heartbeats.
+// value-initialized copy of the received bytes. A handler's reply to its
+// own request is staged by Env and delivered with the loop's next receive in
+// one RpcReplyAndReceive trap, so a served request costs the server one
+// kernel entry. It also owns shutdown (Stop), survival of oversized
+// requests, and watchdog heartbeats.
 #ifndef SRC_MK_SERVER_LOOP_H_
 #define SRC_MK_SERVER_LOOP_H_
 
@@ -37,7 +40,9 @@ class ServerLoop {
 
  public:
   // A handler gets the request and must end with env.RpcReply(rpc.token,
-  // ...) unless it defers the reply (keeps the token and returns).
+  // ...) unless it defers the reply (keeps the token and returns). That
+  // reply lands when the handler has returned, with the loop's next
+  // receive; a reply to any other token (a deferred one) lands at once.
   // `ref_data` is the loop's by-reference buffer (max_ref bytes), holding
   // `ref_len` bytes the client attached; a handler may reuse it as scratch.
   using Handler = std::function<void(Env& env, const RpcRequest& rpc, const Req& req,
@@ -98,10 +103,12 @@ class ServerLoop {
   // Shuts the loop down deterministically: the receive port is destroyed
   // immediately, so a server parked between receives wakes with kPortDead
   // and exits, and every caller — queued or future — observes kPortDead
-  // rather than a request that may or may not still be served. Callable from
-  // any thread (including a handler) once Run() has started; calling it
-  // before Run() makes Run() destroy the port and return at once. Per-server
-  // exit work belongs after Run() returns, in the server's thread body.
+  // rather than a request that may or may not still be served. The request
+  // being served still completes: its staged reply is flushed when the loop
+  // exits. Callable from any thread (including a handler) once Run() has
+  // started; calling it before Run() makes Run() destroy the port and
+  // return at once. Per-server exit work belongs after Run() returns, in the
+  // server's thread body.
   void Stop() {
     stop_requested_ = true;
     running_ = false;
@@ -139,7 +146,7 @@ class ServerLoop {
       const uint64_t receive_timeout =
           health_right_ != kNullPort && heartbeat_every_ns_ != 0 ? heartbeat_every_ns_ : kForever;
       Req req{};
-      auto rpc = env.RpcReceive(port_, &req, sizeof(Req), &ref, receive_timeout);
+      auto rpc = env.ReplyAndReceive(port_, &req, sizeof(Req), &ref, receive_timeout);
       if (!rpc.ok()) {
         if (rpc.status() == base::Status::kTooLarge) {
           // An oversized queued request was already failed back to its
@@ -166,7 +173,8 @@ class ServerLoop {
       }
       // Fault point: the handler entry, before any handler state changes —
       // the injected failure is indistinguishable from the server crashing
-      // at the top of the operation.
+      // at the top of the operation. Nothing is staged here: the previous
+      // reply went out with the receive.
       switch (kernel.faults().Fire(fault::FaultPoint::kServerHandlerEntry, label_)) {
         case fault::FaultMode::kNone:
           break;
@@ -177,14 +185,14 @@ class ServerLoop {
           running_ = false;
           env_ = nullptr;
           kernel.TerminateTask(&env.task());
-          return;
+          continue;
         case fault::FaultMode::kDropReply:
           continue;  // swallow: the client waits out its deadline
         case fault::FaultMode::kKillPort:
           DestroyReceivePort(env);
           running_ = false;
           env_ = nullptr;
-          return;
+          continue;
         case fault::FaultMode::kTransientError:
           env.RpcReply(rpc->token, nullptr, 0, nullptr, 0, kNullPort, base::Status::kBusy);
           continue;
@@ -197,7 +205,7 @@ class ServerLoop {
           (void)kernel.StallForever();
           // Only reached once the stall is aborted by task teardown.
           port_destroyed_ = true;
-          return;
+          continue;
         }
         case fault::FaultMode::kDelayReply:
           // Overloaded, not broken: sleep a seeded simulated delay, then
@@ -228,6 +236,9 @@ class ServerLoop {
         it->second(env, *rpc, req, ref_buf.data(), ref.recv_len);
       }
     }
+    // A request whose handler stopped the loop, or ran while another thread
+    // did, still completes.
+    env.FlushStagedReply();
     DestroyReceivePort(env);
     running_ = false;
     env_ = nullptr;

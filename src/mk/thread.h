@@ -154,6 +154,7 @@ class Thread {
   // --- Scheduling --------------------------------------------------------------
   uint64_t dispatch_cycle = 0;   // when this thread last went on-CPU
   uint64_t cpu_cycles_used = 0;  // accumulated on-CPU cycles
+  uint64_t kernel_entries = 0;   // traps this thread made (Kernel::EnterKernel)
 
  private:
   friend class Scheduler;

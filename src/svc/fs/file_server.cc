@@ -32,6 +32,10 @@ std::string LowerCase(const std::string& s) {
   }
   return out;
 }
+
+// The client stub interface: both FsClient bindings charge its
+// "cstub.svc.fs.client" region once per call.
+constexpr char kClientInterface[] = "svc.fs.client";
 }  // namespace
 
 FileServer::FileServer(mk::Kernel& kernel, mk::Task* task, uint64_t handle_base)
@@ -905,13 +909,17 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
 // --- Client ------------------------------------------------------------------------------
 
 FsClient::FsClient(mk::PortName service, uint64_t call_timeout_ns)
-    : stub_(std::in_place, "svc.fs.client", service) {
+    : stub_(std::in_place, kClientInterface, service) {
   stub_->set_default_timeout_ns(call_timeout_ns);
 }
 
 FsClient::FsClient(mk::PortName name_service, std::string fs_name,
                    const mk::RobustCallOptions& opts)
-    : names_(std::in_place, name_service), fs_name_(std::move(fs_name)), opts_(opts) {}
+    : name_stub_region_(hw::DefineKernelCode(std::string("cstub.") + kClientInterface,
+                                             mk::Costs::kRpcClientStub)),
+      names_(std::in_place, name_service),
+      fs_name_(std::move(fs_name)),
+      opts_(opts) {}
 
 void FsClient::set_call_timeout_ns(uint64_t ns) {
   if (stub_.has_value()) {
@@ -929,6 +937,7 @@ base::Status FsClient::Call(mk::Env& env, const FsRequest& r, FsReply* reply, mk
   if (stub_.has_value()) {
     return stub_->Call(env, r, reply, ref);
   }
+  env.kernel().cpu().Execute(name_stub_region_);
   const auto resolver = [this](mk::Env& e) -> base::Result<mk::PortName> {
     // Every resolution starts a new epoch: handles obtained before it may
     // name an instance that is gone.

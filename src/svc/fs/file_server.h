@@ -322,9 +322,10 @@ class FsClient : private FsCacheBackend {
                                     const void* data, uint32_t len) override;
   base::Result<FileAttr> CacheStat(mk::Env& env, uint64_t handle) override;
 
-  // Exactly one binding is engaged. The name binding builds no ClientStub
-  // and so charges no stub region.
+  // Exactly one binding is engaged. The name binding builds no ClientStub;
+  // it charges the same stub region itself, once per call.
   std::optional<mk::ClientStub> stub_;
+  hw::CodeRegion name_stub_region_;
   std::optional<mks::NameClient> names_;
   std::string fs_name_;
   mk::RobustCallOptions opts_;

@@ -62,6 +62,71 @@ TEST_F(KernelTest, WatcherReceivesTaskThenPortDeath) {
   EXPECT_EQ(kernel_.tracer().metrics().Counter("mk.task_deaths"), 1u);
 }
 
+// A watcher that has not drained its queue still hears a task die: port
+// death notices (one per destroyed port) fill the bounded queue and the
+// overflow drops, and the task death notice evicts the oldest of them, so the
+// queue never exceeds its limit. Before, the task notice was dropped too, and
+// a restart manager busy elsewhere while its client closed files never
+// respawned a crashed server.
+TEST_F(KernelTest, TaskDeathNoticeLandsInAFullWatcherQueue) {
+  Task* watcher_task = kernel_.CreateTask("watcher");
+  auto notify = kernel_.PortAllocate(*watcher_task);
+  ASSERT_TRUE(notify.ok());
+  ASSERT_EQ(kernel_.RegisterDeathWatcher(*watcher_task, *notify), base::Status::kOk);
+  Task* owner = kernel_.CreateTask("owner");
+  for (size_t i = 0; i < Port::kDefaultQueueLimit + 2; ++i) {
+    auto port = kernel_.PortAllocate(*owner);
+    ASSERT_TRUE(port.ok());
+    ASSERT_EQ(kernel_.PortDestroy(*owner, *port), base::Status::kOk);
+  }
+  Task* victim = kernel_.CreateTask("victim");
+  const TaskId victim_id = victim->id();
+  kernel_.TerminateTask(victim);
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+  bool saw_task_death = false;
+  size_t notices = 0;
+  kernel_.CreateThread(watcher_task, "watch", [&, notify = *notify](Env& env) {
+    MachMessage msg;
+    while (env.MachMsgReceive(notify, &msg, /*timeout_ns=*/0) == base::Status::kOk) {
+      ++notices;
+      if (msg.msg_id == kTaskDeathMsgId && TaskNoticeOf(msg).task == victim_id) {
+        saw_task_death = true;
+      }
+    }
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_TRUE(saw_task_death);
+  EXPECT_EQ(notices, Port::kDefaultQueueLimit);
+}
+
+// Eviction only ever removes port death notices: once the queue holds
+// nothing but task death notices (each victim's self-port notice having been
+// evicted or dropped), the newcomer drops and the queue keeps its bound.
+TEST_F(KernelTest, TaskDeathNoticeDropsWhenTheQueueHoldsOnlyTaskNotices) {
+  Task* watcher_task = kernel_.CreateTask("watcher");
+  auto notify = kernel_.PortAllocate(*watcher_task);
+  ASSERT_TRUE(notify.ok());
+  ASSERT_EQ(kernel_.RegisterDeathWatcher(*watcher_task, *notify), base::Status::kOk);
+  std::vector<TaskId> victims;
+  for (size_t i = 0; i < Port::kDefaultQueueLimit + 1; ++i) {
+    Task* victim = kernel_.CreateTask("victim");
+    victims.push_back(victim->id());
+    kernel_.TerminateTask(victim);
+  }
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+  std::vector<TaskId> heard;
+  kernel_.CreateThread(watcher_task, "watch", [&, notify = *notify](Env& env) {
+    MachMessage msg;
+    while (env.MachMsgReceive(notify, &msg, /*timeout_ns=*/0) == base::Status::kOk) {
+      ASSERT_EQ(msg.msg_id, kTaskDeathMsgId);
+      heard.push_back(TaskNoticeOf(msg).task);
+    }
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  victims.pop_back();
+  EXPECT_EQ(heard, victims);
+}
+
 TEST_F(KernelTest, UnregisteredWatcherHearsNothing) {
   Task* watcher_task = kernel_.CreateTask("watcher");
   auto notify = kernel_.PortAllocate(*watcher_task);

@@ -120,6 +120,40 @@ TEST_F(KernelTest, ReplyAndReceiveWorksOnPortSets) {
   EXPECT_EQ(served, 6);
 }
 
+// A timed receive whose timer fires while a caller is already in the kernel:
+// the caller finds the server still on the port's deque (ready, not yet
+// run) and delivers its request. The server must serve it; before, it saw
+// kTimedOut, dropped the delivered request and left its caller blocked
+// forever — which stalled every heartbeat-armed server loop that went idle.
+TEST_F(KernelTest, TimedReceiveServesCallerThatArrivesAsTheTimerFires) {
+  Task* server = kernel_.CreateTask("server");
+  Task* client = kernel_.CreateTask("client");
+  auto recv = kernel_.PortAllocate(*server);
+  auto send = kernel_.MakeSendRight(*server, *recv, *client);
+  base::Status received = base::Status::kInternal;
+  base::Status called = base::Status::kInternal;
+  uint32_t echoed = 0;
+  kernel_.CreateThread(server, "s", [&, recv = *recv](Env& env) {
+    uint32_t v = 0;
+    auto req = env.RpcReceive(recv, &v, sizeof(v), nullptr, /*timeout_ns=*/10'000);
+    received = req.status();
+    if (req.ok()) {
+      EXPECT_EQ(env.RpcReply(req->token, &v, sizeof(v)), base::Status::kOk);
+    }
+  });
+  kernel_.CreateThread(client, "c", [&, send = *send](Env& env) {
+    // Runs past the server's deadline without entering the kernel, so the
+    // timer fires inside this call's own kernel entry.
+    env.Compute(20'000);
+    uint32_t v = 7;
+    called = env.RpcCall(send, &v, sizeof(v), &echoed, sizeof(echoed));
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(received, base::Status::kOk);
+  EXPECT_EQ(called, base::Status::kOk);
+  EXPECT_EQ(echoed, 7u);
+}
+
 // Regression found by schedule exploration: when a client's request queued
 // up while the server was busy and then failed delivery (too large for the
 // posted buffers), RpcReplyAndReceive neither woke that client nor told the

@@ -61,11 +61,13 @@ uint64_t SpanIdOf(Kernel& kernel, const trace::Tracer::SpanMeta* meta) {
 }
 
 // Echo servers on their own tasks; a server built over another server's
-// index RPCs into it from inside the handler before replying (multi-hop).
+// index RPCs into it from inside the handler before replying (multi-hop). A
+// server with `handler_sleep_ns` sleeps in every handler, so callers that
+// arrive meanwhile queue on its port.
 struct EchoSystem {
   explicit EchoSystem(Kernel& kernel) : kernel_(kernel) {}
 
-  size_t AddServer(const std::string& name, int nested_over = -1) {
+  size_t AddServer(const std::string& name, int nested_over = -1, uint64_t handler_sleep_ns = 0) {
     Task* task = kernel_.CreateTask(name);
     auto recv = kernel_.PortAllocate(*task);
     WPOS_CHECK(recv.ok());
@@ -74,8 +76,12 @@ struct EchoSystem {
       nested_send = GrantTo(static_cast<size_t>(nested_over), *task);
     }
     auto loop = std::make_shared<ServerLoop<EchoRequest>>(*recv, name);
-    loop->Register(kEchoOp, [nested_send](Env& env, const RpcRequest& request,
-                                          const EchoRequest& req, uint8_t*, uint32_t) {
+    loop->Register(kEchoOp, [nested_send, handler_sleep_ns](Env& env, const RpcRequest& request,
+                                                            const EchoRequest& req, uint8_t*,
+                                                            uint32_t) {
+      if (handler_sleep_ns != 0) {
+        (void)env.SleepNs(handler_sleep_ns);
+      }
       if (nested_send != kNullPort) {
         uint32_t inner[2] = {kEchoOp, 7};
         uint32_t inner_reply[2] = {};
@@ -187,7 +193,11 @@ TEST(CausalTrace, ContendedPortRecordsQueueWait) {
   Kernel kernel(&machine);
   kernel.tracer().Enable();
   EchoSystem sys(kernel);
-  sys.AddServer("hot");
+  // The handler sleeps, so whichever client calls while the other is being
+  // served finds the server busy and queues. (Without it the two clients
+  // never queue: the server replies and re-parks in one trap before either
+  // client's next call.)
+  sys.AddServer("hot", /*nested_over=*/-1, /*handler_sleep_ns=*/10'000);
   Task* a_task = kernel.CreateTask("client-a");
   Task* b_task = kernel.CreateTask("client-b");
   const PortName send_a = sys.GrantTo(0, *a_task);

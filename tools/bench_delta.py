@@ -10,13 +10,16 @@ covers the paper's headline microbenchmark too: the trap-vs-RPC cycles in
 BENCH_table2.json cannot move without the baseline moving in review.
 
 With --ablations, gates the overload ablation (A5), the
-client-side FS-cache ablation (A6) and the mapped-file ablation (A7)
-from a bench_ablations JSON report: at every overloaded multiplier the
-bounded port must actually shed, must at least halve the unbounded p99
-queue wait, and must keep goodput above half of the unbounded run's;
-the cached file client must cut RPCs per file-intensive op by at least
-2x versus uncached; and a mapped sequential pass must cut server RPCs
-per page-sized op by at least 4x versus uncached read() calls. These
+client-side FS-cache ablation (A6), the mapped-file ablation (A7) and
+the server-loop reply ablation (A8) from a bench_ablations JSON report:
+at every overloaded multiplier the bounded port must actually shed, must
+at least halve the unbounded p99 queue wait, and must keep goodput above
+half of the unbounded run's; the cached file client must cut RPCs per
+file-intensive op by at least 2x versus uncached; a mapped sequential
+pass must cut server RPCs per page-sized op by at least 4x versus
+uncached read() calls; and mk::ServerLoop's reply-and-receive must save
+exactly one server kernel entry per RPC over a reply-then-receive loop,
+and cost fewer cycles per RPC. These
 mirror the WPOS_CHECKs inside the bench binary, but as an independent
 CI gate they still hold if someone weakens the in-binary asserts.
 
@@ -36,7 +39,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def check_ablations(path):
-    """Overload-ablation (A5) invariants from a bench_ablations report.
+    """Ablation invariants (A5-A8) from a bench_ablations report.
 
     Returns a list of failure strings (empty when every gate holds).
     """
@@ -99,6 +102,23 @@ def check_ablations(path):
             f"({read_rpcs:.2f} -> {mapped_rpcs:.2f}), below the 4x gate")
     print(f"mmap: {read_rpcs:.2f} RPCs/op read() vs {mapped_rpcs:.2f} mapped "
           f"({read_rpcs / max(mapped_rpcs, 1e-9):.1f}x)")
+
+    # A8: the loop's combined reply-and-receive saves exactly the reply trap,
+    # and that trap shows in cycles.
+    split_entries = measured("loop_echo.reply_then_receive.server_entries_per_rpc")
+    loop_entries = measured("loop_echo.server_loop.server_entries_per_rpc")
+    split_cycles = measured("loop_echo.reply_then_receive.cycles_per_rpc")
+    loop_cycles = measured("loop_echo.server_loop.cycles_per_rpc")
+    if split_entries - loop_entries != 1:
+        failures.append(
+            f"loop_echo: server loop saved {split_entries - loop_entries:g} kernel "
+            f"entries per RPC ({split_entries:g} -> {loop_entries:g}), not exactly 1")
+    if loop_cycles >= split_cycles:
+        failures.append(
+            f"loop_echo: server loop costs {loop_cycles:.0f} cycles per RPC, not fewer "
+            f"than reply-then-receive's {split_cycles:.0f}")
+    print(f"loop_echo: {split_entries:g} -> {loop_entries:g} server entries/RPC, "
+          f"{split_cycles:.0f} -> {loop_cycles:.0f} cycles/RPC")
     return failures
 
 
@@ -138,7 +158,7 @@ def main():
                              "gate every BENCH_<name>.json on exact equality")
     parser.add_argument("--ablations", default=None,
                         help="bench_ablations --json output to gate the "
-                             "overload, fs-cache and mmap ablations")
+                             "overload, fs-cache, mmap and server-loop ablations")
     args = parser.parse_args()
     if args.exact is None and args.ablations is None:
         parser.error("nothing to gate: give --exact and/or --ablations")
@@ -161,7 +181,7 @@ def main():
         if failures:
             status = 1
         else:
-            print("OK: overload + fs-cache + mmap ablation gates hold")
+            print("OK: overload + fs-cache + mmap + server-loop ablation gates hold")
     return status
 
 

@@ -53,8 +53,11 @@ Checks, over every header and source file under src/ and tests/:
      "Measured trap", "Measured RPC" and "Measured ratio" cells of each row
      equal the committed trap.* / rpc32.* measured values of
      BENCH_table2.json (instructions, cycles and bus cycles rounded to
-     integers, CPI to one decimal, ratio = RPC/trap to two decimals). A
-     stale row misquotes the paper reproduction.
+     integers, CPI to one decimal, ratio = RPC/trap to two decimals). Each
+     ablation paragraph (A1-A8, from its "**A<n> —" line to the next) quotes
+     its BENCH_ablations.json figures, each rounded as the paragraph prints
+     it (see ablation_figures). A stale row or figure misquotes the paper
+     reproduction.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -81,6 +84,9 @@ TABLE2_ROWS = (
     ("Bus cycles", "bus_cycles", "{:.0f}"),
     ("CPI", "cpi", "{:.1f}"),
 )
+
+ABLATIONS_BASELINE = Path("BENCH_ablations.json")
+ABLATION_HEADING_RE = re.compile(r"^\*\*(A\d+b?) —")
 
 DETERMINISM_SCOPES = (Path("src") / "mk", Path("src") / "svc", Path("src") / "pers")
 DETERMINISM_EXEMPT = {Path("src") / "mk" / "host.cc"}
@@ -352,6 +358,75 @@ def check_table2_doc() -> list:
     return errors
 
 
+def ablation_figures() -> list:
+    """(ablation id, BENCH_ablations.json key, format) for each figure EXPERIMENTS.md quotes."""
+    figures = [("A1", "handoff.bg0.handoff_cycles", "{:.0f}"),
+               ("A1", "handoff.bg0.ready_queue_cycles", "{:.0f}")]
+    figures += [("A1", f"handoff.bg{n}.ratio", "{:.2f}") for n in (0, 2, 4)]
+    figures += [("A2", f"cache{kb}kb.rpc_cycles", "{:.0f}") for kb in (4, 8)]
+    figures += [("A3", "nic_echo.user_level_cycles", "{:.0f}"),
+                ("A3", "nic_echo.in_kernel_cycles", "{:.0f}"),
+                ("A3", "nic_echo.ratio", "{:.2f}")]
+    for n in (1024, 4096, 16384, 65536):
+        figures += [("A4", f"bulk.b{n}.{mode}_cycles_per_byte", "{:.3f}")
+                    for mode in ("inline", "ool")]
+        figures.append(("A4", f"bulk.b{n}.ratio", "{:.2f}"))
+    for n in (4, 8, 16):
+        figures += [("A4b", f"scatter.x{n}.{mode}_cycles_per_extent", "{:.0f}")
+                    for mode in ("batched", "separate")]
+        figures.append(("A4b", f"scatter.x{n}.ratio", "{:.2f}"))
+    for m in (1, 4, 16):
+        for side in ("bounded", "unbounded"):
+            figures += [("A5", f"overload.x{m}.{side}.goodput_ops_per_ms", "{:.2f}"),
+                        ("A5", f"overload.x{m}.{side}.p99_queue_wait_cycles", "{:,.0f}")]
+        figures.append(("A5", f"overload.x{m}.bounded.sheds", "{:.0f}"))
+    figures += [("A6", f"fscache.{mode}.rpcs_per_op", "{:.2f}") for mode in ("uncached", "cached")]
+    figures.append(("A6", "fscache.ratio", "{:.1f}"))
+    for mode in ("read", "mapped"):
+        figures += [("A7", f"mmap.{mode}.rpcs_per_op", "{:.2f}"),
+                    ("A7", f"mmap.{mode}.cycles_per_byte", "{:.3f}")]
+    figures.append(("A7", "mmap.rpc_ratio", "{:.1f}"))
+    for loop in ("reply_then_receive", "server_loop"):
+        figures += [("A8", f"loop_echo.{loop}.server_entries_per_rpc", "{:.2f}"),
+                    ("A8", f"loop_echo.{loop}.cycles_per_rpc", "{:.0f}")]
+    figures.append(("A8", "loop_echo.ratio", "{:.2f}"))
+    return figures
+
+
+def check_ablations_doc() -> list:
+    doc_lines = (REPO_ROOT / EXPERIMENTS_DOC).read_text(encoding="utf-8").splitlines()
+    paragraphs = {}  # ablation id -> (first line number, text up to the next ablation)
+    current = None
+    for lineno, line in enumerate(doc_lines, start=1):
+        heading = ABLATION_HEADING_RE.match(line)
+        if heading:
+            current = heading.group(1)
+            paragraphs[current] = (lineno, [])
+        elif line.startswith("## "):
+            current = None
+        if current is not None:
+            paragraphs[current][1].append(line)
+    bench = json.loads((REPO_ROOT / ABLATIONS_BASELINE).read_text(encoding="utf-8"))
+    errors = [f"{EXPERIMENTS_DOC}: no '**{ablation} —' ablation paragraph"
+              for ablation in sorted({a for a, _, _ in ablation_figures()} - paragraphs.keys())]
+    for ablation, key, fmt in ablation_figures():
+        if ablation not in paragraphs:
+            continue
+        if key not in bench:
+            errors.append(f"{ABLATIONS_BASELINE}: no key '{key}' for {ablation}")
+            continue
+        lineno, lines = paragraphs[ablation]
+        figure = fmt.format(bench[key]["measured"])
+        # The figure as a whole number, not part of a longer one ("1.39x" quotes 1.39).
+        token = re.compile(rf"(?<![\d.,]){re.escape(figure)}(?![\d,]|\.\d)")
+        if not token.search("\n".join(lines)):
+            errors.append(
+                f"{EXPERIMENTS_DOC}:{lineno}: {ablation} does not quote {key} = {figure} "
+                f"from {ABLATIONS_BASELINE}"
+            )
+    return errors
+
+
 def expected_guard(rel_path: Path) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(rel_path)).upper() + "_"
 
@@ -439,6 +514,7 @@ def main() -> int:
     cross_file_errors += check_trace_registry_live(trace_registry, trace_used)
     cross_file_errors += check_table1_doc()
     cross_file_errors += check_table2_doc()
+    cross_file_errors += check_ablations_doc()
     if cross_file_errors:
         bad_files += 1
         total_errors += len(cross_file_errors)
