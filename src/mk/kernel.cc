@@ -296,9 +296,6 @@ void Kernel::TerminateTask(Task* task) {
     sync_observer_->OnGlobalOp(scheduler_.current());
   }
   task->set_terminated();
-  // Notify watchers before tearing the task down so the TaskDeathNotice is
-  // ahead of the PortDeathNotices the teardown emits (watcher queues are
-  // bounded; the task notice is the one that must land).
   size_t owned_ports = 0;
   for (const auto& port : ports_) {
     if (!port->dead() && port->receiver() == task) {
@@ -307,8 +304,7 @@ void Kernel::TerminateTask(Task* task) {
   }
   tracer_->Emit(trace::EventType::kTaskDeath, task->id(), owned_ports);
   ++tracer_->metrics().Counter("mk.task_deaths");
-  TaskDeathNotice notice{task->id()};
-  NotifyDeathWatchers(kTaskDeathMsgId, &notice, sizeof(notice));
+  NotifyDeathWatchers(task->id());
   // Destroy every port the task holds the receive right for: queued legacy
   // messages drop, queued RPC callers wake with kPortDead — the same
   // semantics ServerLoop::Stop gives a clean shutdown.
@@ -385,37 +381,24 @@ base::Status Kernel::UnregisterDeathWatcher(Task& task, PortName receive_name) {
   return base::Status::kOk;
 }
 
-void Kernel::NotifyDeathWatchers(uint32_t msg_id, const void* notice, uint32_t len) {
+void Kernel::NotifyDeathWatchers(TaskId task) {
   if (death_watchers_.empty()) {
     return;
   }
   death_watchers_.erase(std::remove_if(death_watchers_.begin(), death_watchers_.end(),
                                        [](Port* p) { return p->dead(); }),
                         death_watchers_.end());
+  const TaskDeathNotice notice{task};
   for (Port* watcher : death_watchers_) {
     if (watcher->queue.size() >= watcher->queue_limit) {
-      // The queue stays bounded. Supervision keys off task death notices, so
-      // one makes room by evicting the oldest port death notice (one per
-      // destroyed port, e.g. every closed file); left unread, those would
-      // otherwise crowd it out. Anything else that meets a full queue drops.
-      auto evict = watcher->queue.end();
-      if (msg_id == kTaskDeathMsgId) {
-        evict = std::find_if(watcher->queue.begin(), watcher->queue.end(),
-                             [](const auto& qm) { return qm->msg_id == kPortDeathMsgId; });
-      }
-      if (evict == watcher->queue.end()) {
-        WPOS_LOG(kDebug) << "dropping death notice " << msg_id << ", watcher queue full (port "
-                         << watcher->id() << ")";
-        continue;
-      }
-      WPOS_LOG(kDebug) << "evicting a port death notice for a task death notice, watcher queue "
-                       << "full (port " << watcher->id() << ")";
-      watcher->queue.erase(evict);
+      WPOS_LOG(kDebug) << "dropping death notice for task " << task
+                       << ", watcher queue full (port " << watcher->id() << ")";
+      continue;
     }
     auto qm = std::make_unique<QueuedMessage>();
-    qm->msg_id = msg_id;
-    qm->inline_data.assign(static_cast<const uint8_t*>(notice),
-                           static_cast<const uint8_t*>(notice) + len);
+    qm->msg_id = kTaskDeathMsgId;
+    qm->inline_data.assign(reinterpret_cast<const uint8_t*>(&notice),
+                           reinterpret_cast<const uint8_t*>(&notice) + sizeof(notice));
     qm->kernel_buffer = heap_->Allocate(64);
     qm->send_cycle = cpu().cycles();
     watcher->queue.push_back(std::move(qm));
@@ -476,10 +459,6 @@ void Kernel::DestroyPort(Port* port) {
     scheduler_.Wake(t, base::Status::kPortDead);
   }
   port->waiting_clients.clear();
-  if (!death_watchers_.empty()) {
-    PortDeathNotice notice{port->id()};
-    NotifyDeathWatchers(kPortDeathMsgId, &notice, sizeof(notice));
-  }
 }
 
 base::Result<PortName> Kernel::PortAllocate(Task& task) {

@@ -80,11 +80,10 @@ struct RpcRequest {
 
 constexpr uint64_t kForever = ~0ull;
 
-// Kernel-generated legacy messages delivered to death watchers (the Mach
-// dead-name notification flavour, broadcast instead of per-name). The
-// notice struct is the message's inline data.
+// Kernel-generated legacy message delivered to death watchers when a task
+// dies (the Mach dead-name notification flavour, broadcast per task instead
+// of per name). The notice struct is the message's inline data.
 constexpr uint32_t kTaskDeathMsgId = 0x4D00;
-constexpr uint32_t kPortDeathMsgId = 0x4D01;
 // Heartbeat ping a supervised server loop sends to its restart manager's
 // health port (see mks::RestartManager watchdog). The ping struct is the
 // message's inline data.
@@ -92,10 +91,6 @@ constexpr uint32_t kHeartbeatMsgId = 0x4D10;
 
 struct TaskDeathNotice {
   TaskId task = 0;
-};
-
-struct PortDeathNotice {
-  uint64_t port_id = 0;  // Port::id() of the port that died
 };
 
 struct HeartbeatPing {
@@ -172,9 +167,9 @@ class Kernel {
   // --- Death notifications --------------------------------------------------------
   // Registers a receive right held by `task` as a death-notification port:
   // every subsequent task death (TerminateTask) enqueues a TaskDeathNotice
-  // legacy message to it, and every port death (DestroyPort / MarkDead) a
-  // PortDeathNotice. Watchers with full queues drop notices (logged), like
-  // interrupt reflection. A watcher port that itself dies is pruned.
+  // legacy message to it. A dead port sends no notice; its callers learn of
+  // it through kPortDead. Watchers with full queues drop notices (logged),
+  // like interrupt reflection. A watcher port that itself dies is pruned.
   base::Status RegisterDeathWatcher(Task& task, PortName receive_name);
   base::Status UnregisterDeathWatcher(Task& task, PortName receive_name);
 
@@ -441,9 +436,9 @@ class Kernel {
   void StartTimedWake(Thread* t, uint64_t timeout_ns);
   void ClearTimedWake(Thread* t);
   void DispatchInterrupt(uint32_t line);
-  // Enqueues a death notice (msg_id + notice payload bytes) to every live
-  // registered watcher port; prunes watchers whose port has died.
-  void NotifyDeathWatchers(uint32_t msg_id, const void* notice, uint32_t len);
+  // Enqueues a TaskDeathNotice for `task` to every live registered watcher
+  // port; prunes watchers whose port has died.
+  void NotifyDeathWatchers(TaskId task);
 
   hw::Machine* machine_;
   KernelConfig config_;

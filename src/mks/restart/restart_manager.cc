@@ -112,7 +112,6 @@ void RestartManager::Serve(mk::Env& env) {
     } else if (msg.msg_id == kReviveMsgId && !msg.inline_data.empty()) {
       HandleRevive(env, std::string(msg.inline_data.begin(), msg.inline_data.end()));
     }
-    // PortDeathNotices are informational here; supervision keys off tasks.
     if (policy_.heartbeat_deadline_ns != 0) {
       CheckDeadlines(env);
     }

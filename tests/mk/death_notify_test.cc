@@ -1,9 +1,8 @@
-// Dead-name/port-death notification tests (the Mach notification flavour,
-// broadcast to registered watcher ports) plus the TerminateTask teardown
-// regressions the restart manager depends on.
+// Task death notification tests (the Mach notification flavour, broadcast
+// to registered watcher ports) plus the TerminateTask teardown regressions
+// the restart manager depends on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -19,89 +18,71 @@ TaskDeathNotice TaskNoticeOf(const MachMessage& msg) {
   return notice;
 }
 
-PortDeathNotice PortNoticeOf(const MachMessage& msg) {
-  PortDeathNotice notice;
-  EXPECT_GE(msg.inline_data.size(), sizeof(notice));
-  std::memcpy(&notice, msg.inline_data.data(), sizeof(notice));
-  return notice;
-}
-
-// A watcher sees a dying task as: one TaskDeathNotice (first, always),
-// then one PortDeathNotice per receive port torn down with it.
-TEST_F(KernelTest, WatcherReceivesTaskThenPortDeath) {
+// A watcher sees a dying task as exactly one TaskDeathNotice. The receive
+// ports torn down with it (its implicit self port and an explicit one) add
+// nothing to the queue.
+TEST_F(KernelTest, WatcherHearsOnlyTheTaskDeath) {
   Task* watcher_task = kernel_.CreateTask("watcher");
   auto notify = kernel_.PortAllocate(*watcher_task);
   ASSERT_TRUE(notify.ok());
   ASSERT_EQ(kernel_.RegisterDeathWatcher(*watcher_task, *notify), base::Status::kOk);
 
   Task* victim = kernel_.CreateTask("victim");
-  auto victim_port = kernel_.PortAllocate(*victim);
-  ASSERT_TRUE(victim_port.ok());
-  const uint64_t victim_port_id = (*kernel_.ResolvePort(*victim, *victim_port))->id();
+  ASSERT_TRUE(kernel_.PortAllocate(*victim).ok());
   const TaskId victim_id = victim->id();
 
+  std::vector<MachMessage> heard;
   kernel_.CreateThread(watcher_task, "watch", [&, notify = *notify](Env& env) {
     MachMessage msg;
     ASSERT_EQ(env.MachMsgReceive(notify, &msg), base::Status::kOk);
-    EXPECT_EQ(msg.msg_id, kTaskDeathMsgId);
-    EXPECT_EQ(TaskNoticeOf(msg).task, victim_id);
-    // The teardown follows with one PortDeathNotice per receive port the
-    // victim held — its implicit self port and the explicit one.
-    std::vector<uint64_t> dead_ports;
-    for (int i = 0; i < 2; ++i) {
-      ASSERT_EQ(env.MachMsgReceive(notify, &msg), base::Status::kOk);
-      EXPECT_EQ(msg.msg_id, kPortDeathMsgId);
-      dead_ports.push_back(PortNoticeOf(msg).port_id);
+    heard.push_back(msg);
+    while (env.MachMsgReceive(notify, &msg, /*timeout_ns=*/0) == base::Status::kOk) {
+      heard.push_back(msg);
     }
-    EXPECT_NE(std::find(dead_ports.begin(), dead_ports.end(), victim_port_id),
-              dead_ports.end());
   });
   Task* driver = kernel_.CreateTask("driver");
   kernel_.CreateThread(driver, "kill", [&](Env& env) { env.kernel().TerminateTask(victim); });
   EXPECT_EQ(kernel_.Run(), 0u);
+  ASSERT_EQ(heard.size(), 1u);
+  EXPECT_EQ(heard[0].msg_id, kTaskDeathMsgId);
+  EXPECT_EQ(TaskNoticeOf(heard[0]).task, victim_id);
   EXPECT_EQ(kernel_.tracer().metrics().Counter("mk.task_deaths"), 1u);
 }
 
-// A watcher that has not drained its queue still hears a task die: port
-// death notices (one per destroyed port) fill the bounded queue and the
-// overflow drops, and the task death notice evicts the oldest of them, so the
-// queue never exceeds its limit. Before, the task notice was dropped too, and
-// a restart manager busy elsewhere while its client closed files never
-// respawned a crashed server.
+// Destroying ports enqueues nothing, so a watcher that has not drained its
+// queue while its clients closed more files than the queue holds still has
+// room for the task death notice supervision needs.
 TEST_F(KernelTest, TaskDeathNoticeLandsInAFullWatcherQueue) {
   Task* watcher_task = kernel_.CreateTask("watcher");
   auto notify = kernel_.PortAllocate(*watcher_task);
   ASSERT_TRUE(notify.ok());
   ASSERT_EQ(kernel_.RegisterDeathWatcher(*watcher_task, *notify), base::Status::kOk);
+  Port* watcher_port = *kernel_.ResolvePort(*watcher_task, *notify);
   Task* owner = kernel_.CreateTask("owner");
   for (size_t i = 0; i < Port::kDefaultQueueLimit + 2; ++i) {
     auto port = kernel_.PortAllocate(*owner);
     ASSERT_TRUE(port.ok());
     ASSERT_EQ(kernel_.PortDestroy(*owner, *port), base::Status::kOk);
   }
+  EXPECT_TRUE(watcher_port->queue.empty());
   Task* victim = kernel_.CreateTask("victim");
   const TaskId victim_id = victim->id();
   kernel_.TerminateTask(victim);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-  bool saw_task_death = false;
-  size_t notices = 0;
+  std::vector<TaskId> heard;
   kernel_.CreateThread(watcher_task, "watch", [&, notify = *notify](Env& env) {
     MachMessage msg;
     while (env.MachMsgReceive(notify, &msg, /*timeout_ns=*/0) == base::Status::kOk) {
-      ++notices;
-      if (msg.msg_id == kTaskDeathMsgId && TaskNoticeOf(msg).task == victim_id) {
-        saw_task_death = true;
-      }
+      ASSERT_EQ(msg.msg_id, kTaskDeathMsgId);
+      heard.push_back(TaskNoticeOf(msg).task);
     }
   });
   EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_TRUE(saw_task_death);
-  EXPECT_EQ(notices, Port::kDefaultQueueLimit);
+  EXPECT_EQ(heard, std::vector<TaskId>{victim_id});
 }
 
-// Eviction only ever removes port death notices: once the queue holds
-// nothing but task death notices (each victim's self-port notice having been
-// evicted or dropped), the newcomer drops and the queue keeps its bound.
+// The watcher queue keeps its bound: once it holds queue_limit task death
+// notices, the next one drops and the earlier ones stay in order.
 TEST_F(KernelTest, TaskDeathNoticeDropsWhenTheQueueHoldsOnlyTaskNotices) {
   Task* watcher_task = kernel_.CreateTask("watcher");
   auto notify = kernel_.PortAllocate(*watcher_task);

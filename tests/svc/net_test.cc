@@ -3,7 +3,6 @@
 #include "src/drv/nic_driver.h"
 #include "src/svc/net/net_server.h"
 #include "src/svc/net/stack.h"
-#include "src/svc/registry.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace svc {
@@ -184,33 +183,6 @@ TEST_F(NetTest, FineStackCostsMoreThanCoarse) {
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_GT(fine_instr, coarse_instr + coarse_instr / 4)
       << "fine-grained stack must be measurably slower";
-}
-
-class RegistryTest : public mk::KernelTest {};
-
-TEST_F(RegistryTest, SetGetDeleteList) {
-  mk::Task* reg_task = kernel_.CreateTask("registry");
-  RegistryServer server(kernel_, reg_task);
-  mk::Task* client = kernel_.CreateTask("client");
-  mk::PortName service = server.GrantTo(*client);
-  kernel_.CreateThread(client, "c", [&](mk::Env& env) {
-    RegistryClient reg(service);
-    ASSERT_EQ(reg.Set(env, "os2/shell", "pmshell.exe"), base::Status::kOk);
-    ASSERT_EQ(reg.Set(env, "os2/swap", "on"), base::Status::kOk);
-    ASSERT_EQ(reg.Set(env, "unix/shell", "/bin/sh"), base::Status::kOk);
-    auto shell = reg.Get(env, "os2/shell");
-    ASSERT_TRUE(shell.ok());
-    EXPECT_EQ(*shell, "pmshell.exe");
-    auto keys = reg.List(env, "os2");
-    ASSERT_TRUE(keys.ok());
-    EXPECT_EQ(keys->size(), 2u);
-    ASSERT_EQ(reg.Delete(env, "os2/swap"), base::Status::kOk);
-    EXPECT_EQ(reg.Get(env, "os2/swap").status(), base::Status::kNotFound);
-    EXPECT_EQ(reg.Delete(env, "os2/swap"), base::Status::kNotFound);
-    server.Stop();
-    (void)reg.Get(env, "x");
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
 }
 
 }  // namespace

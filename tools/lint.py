@@ -58,6 +58,11 @@ Checks, over every header and source file under src/ and tests/:
      its BENCH_ablations.json figures, each rounded as the paragraph prints
      it (see ablation_figures). A stale row or figure misquotes the paper
      reproduction.
+  9. Every module says what it serves. Each directory under src/ that holds
+     a header or source file has a row in DESIGN.md's module map (the
+     "## Module map" table, first cell a backquoted repo path), and every
+     row names a path that exists. A module no number, claim or check needs
+     is deleted, not carried; a row for a deleted module is a stale claim.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -74,6 +79,9 @@ TRACE_EVENTS_HEADER = Path("src") / "mk" / "trace" / "events.h"
 FAULT_POINTS_HEADER = Path("src") / "mk" / "fault" / "points.h"
 SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
 EXPERIMENTS_DOC = Path("EXPERIMENTS.md")
+DESIGN_DOC = Path("DESIGN.md")
+MODULE_MAP_HEADING = "## Module map"
+MODULE_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 TABLE1_BASELINE = Path("BENCH_table1.json")
 TABLE1_OVERALL_ROW = ("Overall (geo mean)", "overall.geomean_ratio")
 TABLE2_BASELINE = Path("BENCH_table2.json")
@@ -427,6 +435,39 @@ def check_ablations_doc() -> list:
     return errors
 
 
+def check_module_map() -> list:
+    rows = {}  # path -> line number of its row
+    in_table = False
+    for lineno, line in enumerate(
+        (REPO_ROOT / DESIGN_DOC).read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        if line.startswith("## "):
+            in_table = line.startswith(MODULE_MAP_HEADING)
+        elif in_table:
+            row = MODULE_ROW_RE.match(line)
+            if row:
+                rows[row.group(1).rstrip("/")] = lineno
+    if not rows:
+        return [f"{DESIGN_DOC}: no '{MODULE_MAP_HEADING}' table"]
+    errors = [
+        f"{DESIGN_DOC}:{lineno}: module map row '{path}' names no existing path"
+        for path, lineno in sorted(rows.items())
+        if not (REPO_ROOT / path).exists()
+    ]
+    module_dirs = sorted(
+        {p.parent.relative_to(REPO_ROOT).as_posix()
+         for p in (REPO_ROOT / "src").rglob("*") if p.suffix in (".h", ".cc")}
+    )
+    errors += [
+        f"{DESIGN_DOC}: module map has no row for '{d}' — name what it serves "
+        f"(a BENCH key, an experiment id, a functional reproduction or a CI check) "
+        f"or delete it"
+        for d in module_dirs
+        if d not in rows
+    ]
+    return errors
+
+
 def expected_guard(rel_path: Path) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(rel_path)).upper() + "_"
 
@@ -515,6 +556,7 @@ def main() -> int:
     cross_file_errors += check_table1_doc()
     cross_file_errors += check_table2_doc()
     cross_file_errors += check_ablations_doc()
+    cross_file_errors += check_module_map()
     if cross_file_errors:
         bad_files += 1
         total_errors += len(cross_file_errors)
