@@ -7,7 +7,9 @@
 namespace hw {
 
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  WPOS_CHECK(config.ways > 0 && config.size_bytes % (config.line_bytes * config.ways) == 0)
+  WPOS_CHECK(config.ways == 1 || config.ways == 2 || config.ways == 4 || config.ways == 8)
+      << "cache associativity must be 1, 2, 4 or 8, not " << config.ways;
+  WPOS_CHECK(config.size_bytes % (config.line_bytes * config.ways) == 0)
       << "cache geometry must divide evenly";
   const uint32_t num_sets = config.size_bytes / (config.line_bytes * config.ways);
   WPOS_CHECK(std::has_single_bit(num_sets)) << "set count must be a power of two";
@@ -15,16 +17,13 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   line_shift_ = static_cast<uint32_t>(std::countr_zero(config.line_bytes));
   set_shift_ = static_cast<uint32_t>(std::countr_zero(num_sets));
   set_mask_ = num_sets - 1;
-  WPOS_CHECK(line_shift_ + set_shift_ > 0) << "a tag must drop at least one address bit";
-  lines_.resize(static_cast<size_t>(num_sets) * config.ways);
+  keys_.assign(static_cast<size_t>(num_sets) * config.ways, kInvalidKey);
 }
 
 void Cache::Flush() {
-  for (Line& line : lines_) {
-    if (line.dirty) {
-      ++stats_.writebacks;
-    }
-    line = Line{};
+  for (uint32_t& key : keys_) {
+    stats_.writebacks += key & 1;
+    key = kInvalidKey;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "src/base/log.h"
+#include "src/hw/cache.h"
 
 namespace hw {
 
@@ -37,6 +38,10 @@ CodeRegion CodeLayout::Register(const std::string& name, uint32_t instructions,
   uint64_t bytes = (region.size_bytes() + 31) & ~31ull;
   comp.next += bytes;
   comp.bytes += bytes;
+  // The caches hold a tag in a 31-bit key field; a region the default
+  // geometry could not hold would alias lower lines instead of missing.
+  WPOS_CHECK(comp.next <= Cache::AddressLimit(CacheConfig{}))
+      << "code region " << name << " ends past the cache's address limit";
   regions_.emplace(name, region);
   names_by_base_.emplace(region.base, name);
   return region;

@@ -79,5 +79,39 @@ TEST(CacheTest, OverCapacityWorkingSetThrashes) {
   EXPECT_EQ(cache.stats().misses, cache.stats().accesses);
 }
 
+TEST(CacheTest, AddressLimitOfTheDefaultGeometry) {
+  // 128 sets of 32-byte lines: a tag drops 12 address bits and holds 31.
+  EXPECT_EQ(Cache::AddressLimit(CacheConfig{}), PhysAddr{0x7fff'ffff} << 12);
+  EXPECT_EQ(Cache::AddressLimit(SmallCache()), PhysAddr{0x7fff'ffff} << 9);
+}
+
+TEST(CacheTest, LastAddressBelowTheLimitIsHeld) {
+  Cache cache(SmallCache());
+  const PhysAddr top = Cache::AddressLimit(SmallCache()) - 1;
+  EXPECT_FALSE(cache.Access(top, true).hit);
+  EXPECT_TRUE(cache.Access(top, false).hit);
+  // Same set, tag 0: the top line's key must not alias it.
+  EXPECT_FALSE(cache.Access(top & 0x1ff, false).hit);
+  cache.Flush();
+  EXPECT_EQ(cache.stats().writebacks, 1u);
+}
+
+TEST(CacheDeathTest, RejectsThreeWays) {
+  const CacheConfig three_ways{.size_bytes = 3 * 32 * 16, .line_bytes = 32, .ways = 3};
+  EXPECT_DEATH(Cache{three_ways}, "associativity must be 1, 2, 4 or 8");
+}
+
+TEST(CacheDeathTest, RunPastTheAddressLimitFails) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the address-limit check is a DCHECK";
+#else
+  Cache cache(SmallCache());
+  const PhysAddr limit = Cache::AddressLimit(SmallCache());
+  EXPECT_DEATH(cache.Access(limit, false), "address limit");
+  // A run whose last line crosses the limit fails too.
+  EXPECT_DEATH(cache.AccessRun(limit - 64, 3, 32, false), "address limit");
+#endif
+}
+
 }  // namespace
 }  // namespace hw

@@ -23,6 +23,12 @@ TEST(CodeLayoutTest, ComponentsGetSeparateImages) {
   EXPECT_GE(b.base > a.base ? b.base - a.base : a.base - b.base, 64u * 1024);
 }
 
+TEST(CodeLayoutDeathTest, RegionPastTheCacheAddressLimitFails) {
+  // ~2^44 bytes of text: past the default cache geometry's 2^43-byte limit.
+  EXPECT_DEATH(CodeLayout::Global().Register("hugeimage.f", 0xffff'ffff, 1024),
+               "address limit");
+}
+
 TEST(CpuTest, ExecuteCountsInstructionsAndCycles) {
   Cpu cpu;
   CodeRegion r = CodeLayout::Global().Register("cputest.basic", 1000);

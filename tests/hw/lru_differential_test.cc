@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <tuple>
@@ -162,12 +163,58 @@ uint64_t Draw(std::mt19937_64& rng, uint64_t footprint) {
   return (r & 1) != 0 ? (r >> 1) % hot : (r >> 1) % footprint;
 }
 
+// Where a cache stream's lines lie. Tags of low addresses use only a few
+// low key bits, so the streams also run where the simulator's code lives and
+// where the key runs out.
+enum class Placement {
+  kLow,         // from address 0, like data in simulated RAM
+  kCodeImages,  // across code images, placed as CodeLayout::Register does, and RAM
+  kTop,         // ending at the last address the geometry's key can hold
+};
+
+constexpr PhysAddr kImageSpaceBase = 0x1'0000'0000;
+constexpr uint64_t kImageStride = 16ull << 20;  // 16 MB of address space per image
+constexpr uint64_t kImages = 16;
+
+// The address of line `d` of a stream over `footprint` lines whose runs
+// reach at most `headroom` lines past its last line.
+PhysAddr LineAddress(Placement placement, const CacheConfig& config, uint64_t footprint,
+                     uint64_t headroom, uint64_t d) {
+  const uint64_t line = config.line_bytes;
+  switch (placement) {
+    case Placement::kLow:
+      break;
+    case Placement::kCodeImages: {
+      // Consecutive lines go to different images, whose bases share cache
+      // sets but for CodeLayout's 1312-byte stagger, and every 17th line to
+      // RAM from address 0: line k of image 0 and of RAM differ in bit 32 only.
+      const uint64_t image = d % (kImages + 1);
+      const uint64_t offset = d / (kImages + 1) * line;
+      if (image == kImages) {
+        return offset;
+      }
+      return kImageSpaceBase + image * kImageStride + (image * 1312) % 4096 + offset;
+    }
+    case Placement::kTop: {
+      // Even lines end at the limit; odd lines are the same lines with the
+      // key's highest tag bit clear, so a key that lost that bit aliases them.
+      const PhysAddr limit = Cache::AddressLimit(config);
+      const PhysAddr top_bit = PhysAddr{1} << (30 + std::countr_zero(limit));
+      return limit - (footprint / 2 + headroom - d / 2) * line - (d % 2 == 0 ? 0 : top_bit);
+    }
+  }
+  return d * line;
+}
+
 // --- Cache --------------------------------------------------------------------------------
 
 class CacheLruDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint32_t>> {};
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint32_t>> {
+ protected:
+  void MatchesStampedReference(Placement placement);
+};
 
-TEST_P(CacheLruDifferentialTest, MatchesStampedReferenceAccessByAccess) {
+void CacheLruDifferentialTest::MatchesStampedReference(Placement placement) {
   const auto [size, line, ways] = GetParam();
   const CacheConfig config{.size_bytes = size, .line_bytes = line, .ways = ways};
   for (const uint64_t seed : kSeeds) {
@@ -184,7 +231,8 @@ TEST_P(CacheLruDifferentialTest, MatchesStampedReferenceAccessByAccess) {
         continue;
       }
       const bool write = (r >> 20) % 4 == 0;
-      const PhysAddr addr = Draw(rng, footprint) * line + (r >> 32) % line;
+      const PhysAddr addr =
+          LineAddress(placement, config, footprint, 0, Draw(rng, footprint)) + (r >> 32) % line;
       const Cache::AccessResult got = cache.Access(addr, write);
       const Cache::AccessResult want = ref.Access(addr, write);
       ASSERT_EQ(got.hit, want.hit) << "seed " << seed << " step " << i << " addr " << addr;
@@ -201,6 +249,18 @@ TEST_P(CacheLruDifferentialTest, MatchesStampedReferenceAccessByAccess) {
     EXPECT_LT(cache.stats().misses, cache.stats().accesses);
     EXPECT_GT(cache.stats().writebacks, 0u);
   }
+}
+
+TEST_P(CacheLruDifferentialTest, MatchesStampedReferenceAccessByAccess) {
+  MatchesStampedReference(Placement::kLow);
+}
+
+TEST_P(CacheLruDifferentialTest, MatchesStampedReferenceInCodeImages) {
+  MatchesStampedReference(Placement::kCodeImages);
+}
+
+TEST_P(CacheLruDifferentialTest, MatchesStampedReferenceAtTheAddressLimit) {
+  MatchesStampedReference(Placement::kTop);
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheLruDifferentialTest,
@@ -256,11 +316,16 @@ INSTANTIATE_TEST_SUITE_P(Geometries, TlbLruDifferentialTest,
 // --- Cache runs ---------------------------------------------------------------------------
 
 class CacheRunDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint32_t>> {};
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint32_t>> {
+ protected:
+  void RunsMatchPerLineAccesses(Placement placement);
+};
 
-TEST_P(CacheRunDifferentialTest, RunMatchesPerLineAccesses) {
+void CacheRunDifferentialTest::RunsMatchPerLineAccesses(Placement placement) {
   const auto [size, line, ways] = GetParam();
   const CacheConfig config{.size_bytes = size, .line_bytes = line, .ways = ways};
+  // A run spans fewer than 40 strides of under three lines each.
+  constexpr uint64_t kRunHeadroom = 120;
   for (const uint64_t seed : kSeeds) {
     Cache cache(config);
     RefCache ref(config);
@@ -269,7 +334,9 @@ TEST_P(CacheRunDifferentialTest, RunMatchesPerLineAccesses) {
     for (int i = 0; i < kSteps / 16; ++i) {
       const uint64_t r = rng();
       const bool write = (r >> 20) % 4 == 0;
-      const PhysAddr addr = Draw(rng, footprint) * line + (r >> 32) % line;
+      const PhysAddr addr =
+          LineAddress(placement, config, footprint, kRunHeadroom, Draw(rng, footprint)) +
+          (r >> 32) % line;
       const uint64_t count = (r >> 8) % 40;
       // Strides of whole lines (sparse code), zero (one line again) and any
       // byte count below three lines (runs that skip or revisit lines).
@@ -290,6 +357,18 @@ TEST_P(CacheRunDifferentialTest, RunMatchesPerLineAccesses) {
     EXPECT_GT(cache.stats().misses, 0u);
     EXPECT_LT(cache.stats().misses, cache.stats().accesses);
   }
+}
+
+TEST_P(CacheRunDifferentialTest, RunMatchesPerLineAccesses) {
+  RunsMatchPerLineAccesses(Placement::kLow);
+}
+
+TEST_P(CacheRunDifferentialTest, RunMatchesPerLineAccessesInCodeImages) {
+  RunsMatchPerLineAccesses(Placement::kCodeImages);
+}
+
+TEST_P(CacheRunDifferentialTest, RunMatchesPerLineAccessesAtTheAddressLimit) {
+  RunsMatchPerLineAccesses(Placement::kTop);
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheRunDifferentialTest,
