@@ -35,9 +35,7 @@ CodeRegion CodeLayout::Register(const std::string& name, uint32_t instructions,
   region.instructions = instructions;
   region.sparsity = sparsity;
   // Line-align each function start (32-byte lines) as linkers typically do.
-  uint64_t bytes = (region.size_bytes() + 31) & ~31ull;
-  comp.next += bytes;
-  comp.bytes += bytes;
+  comp.next += (region.size_bytes() + 31) & ~31ull;
   // The caches hold a tag in a 31-bit key field; a region the default
   // geometry could not hold would alias lower lines instead of missing.
   WPOS_CHECK(comp.next <= Cache::AddressLimit(CacheConfig{}))
@@ -55,11 +53,6 @@ std::string CodeLayout::NameOf(PhysAddr base) const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "?0x%llx", static_cast<unsigned long long>(base));
   return buf;
-}
-
-uint64_t CodeLayout::ComponentTextBytes(const std::string& component) const {
-  auto it = components_.find(component);
-  return it == components_.end() ? 0 : it->second.bytes;
 }
 
 void CodeLayout::Clear() {

@@ -4,12 +4,10 @@
 #include "src/mk/kernel.h"
 
 #include <algorithm>
-#include <iostream>
 
 #include "src/base/log.h"
 #include "src/mk/analysis/invariants.h"
 #include "src/mk/analysis/wait_for_graph.h"
-#include "src/mk/trace/exporters.h"
 #include "src/mk/vm_object.h"
 
 namespace mk {
@@ -19,6 +17,9 @@ namespace {
 // addresses are never backed by PhysMem storage — only the cache model sees
 // them — so the range can sit above RAM.
 constexpr hw::PhysAddr kKernelHeapBase = 0x8000'0000ull;
+// Instruction footprint of the application region of a task created without
+// one.
+constexpr uint32_t kDefaultAppFootprint = 2048;
 
 const hw::CodeRegion& TrapEntryRegion() {
   static const hw::CodeRegion r = hw::DefineKernelCode("mk.trap.entry", Costs::kTrapEntry);
@@ -77,7 +78,6 @@ const hw::CodeRegion& InterruptReflectRegion() {
 Kernel::Kernel(hw::Machine* machine, const KernelConfig& config)
     : machine_(machine), config_(config), scheduler_(this) {
   heap_ = std::make_unique<KernelHeap>(kKernelHeapBase, config.kernel_heap_bytes);
-  scheduler_.quantum_cycles = config.quantum_cycles;
   tracer_ = std::make_unique<trace::Tracer>(&machine->cpu(), &scheduler_, config.trace_capacity);
   faults_ = std::make_unique<fault::Injector>(tracer_.get());
   prev_log_cycle_source_ = base::SetLogCycleSource([this] { return cpu().cycles(); });
@@ -85,11 +85,6 @@ Kernel::Kernel(hw::Machine* machine, const KernelConfig& config)
     Thread* t = scheduler_.current();
     return t == nullptr ? uint64_t{0} : t->trace_ctx.trace_id;
   });
-  HostInfo info;
-  info.name = "wpos-sim";
-  info.cpu_mhz = machine->cpu().config().mhz;
-  info.memory_bytes = machine->mem().size();
-  host_.set_info(info);
 }
 
 Kernel::~Kernel() {
@@ -117,9 +112,6 @@ size_t Kernel::Halt() {
   }
   for (const std::string& cycle : graph.FindCycleReports()) {
     WPOS_LOG(kError) << "deadlock cycle: " << cycle;
-  }
-  if (config_.profile_at_halt && tracer_->enabled()) {
-    trace::WriteFlatProfile(std::cerr, *this);
   }
   return blocked;
 }
@@ -165,7 +157,7 @@ void Kernel::LeaveKernel() {
     sync_observer_->OnKernelLeave(scheduler_.current());
   }
   Thread* t = scheduler_.current();
-  if (t != nullptr && cpu().cycles() - t->dispatch_cycle > scheduler_.quantum_cycles) {
+  if (t != nullptr && cpu().cycles() - t->dispatch_cycle > Scheduler::kQuantumCycles) {
     scheduler_.Yield();
   }
 }
@@ -247,11 +239,9 @@ Task* Kernel::CreateTask(const std::string& name, uint32_t app_footprint_instr) 
   const hw::PhysAddr pt_base = heap_->Allocate(Pmap::kPteWindowEntries * 4, hw::kPageSize);
   auto task = std::make_unique<Task>(next_task_id_++, name, sim_addr, pt_base);
   if (app_footprint_instr == 0) {
-    app_footprint_instr = config_.default_app_footprint;
+    app_footprint_instr = kDefaultAppFootprint;
   }
   task->app_code = hw::DefineKernelCode("app." + name, app_footprint_instr);
-  task->set_processor_set(host_.default_pset());
-  ++host_.default_pset()->tasks_assigned;
   Port* self = NewPort();
   self->set_receiver(task.get());
   task->set_self_port(self);
@@ -412,14 +402,6 @@ void Kernel::WakeOneReceiver(Port* port) {
   if (Thread* receiver = port->blocked_receivers.DequeueFront()) {
     receiver->waiting_on = nullptr;
     scheduler_.Wake(receiver, base::Status::kOk);
-    return;
-  }
-  // Nobody on the port: a receiver may be parked on its port set.
-  if (port->member_of != nullptr) {
-    if (Thread* receiver = port->member_of->blocked_receivers.DequeueFront()) {
-      receiver->waiting_on = nullptr;
-      scheduler_.Wake(receiver, base::Status::kOk);
-    }
   }
 }
 
@@ -430,18 +412,9 @@ Port* Kernel::NewPort() {
 
 void Kernel::DestroyPort(Port* port) {
   port->MarkDead();
-  // A dead port keeps no messages and no set linkage; drop them now so the
-  // object graph stays consistent (checked by CheckInvariants).
+  // A dead port keeps no messages; drop them now so the object graph stays
+  // consistent (checked by CheckInvariants).
   port->queue.clear();
-  if (port->member_of != nullptr) {
-    auto& members = port->member_of->set_members;
-    members.erase(std::remove(members.begin(), members.end(), port), members.end());
-    port->member_of = nullptr;
-  }
-  for (Port* member : port->set_members) {
-    member->member_of = nullptr;
-  }
-  port->set_members.clear();
   while (Thread* t = port->blocked_receivers.DequeueFront()) {
     t->waiting_on = nullptr;
     scheduler_.Wake(t, base::Status::kPortDead);
@@ -489,9 +462,6 @@ base::Status Kernel::PortSetQueueLimit(Task& task, PortName receive_name, uint32
   if (!port.ok()) {
     return port.status();
   }
-  if ((*port)->is_port_set) {
-    return base::Status::kInvalidRight;  // sets carry no traffic of their own
-  }
   cpu().AccessData((*port)->sim_addr(), 64, /*write=*/true);
   (*port)->rpc_queue_limit = limit;
   return base::Status::kOk;
@@ -515,57 +485,6 @@ base::Result<PortName> Kernel::MakeReceiveRight(Task& from, PortName receive_nam
   }
   cpu().AccessData(to.port_space().sim_addr(), 32, /*write=*/true);
   return to.port_space().Insert(*port, RightType::kReceive);
-}
-
-base::Result<PortName> Kernel::PortSetAllocate(Task& task) {
-  cpu().Execute(PortAllocRegion());
-  Port* set = NewPort();
-  set->is_port_set = true;
-  set->set_receiver(&task);
-  cpu().AccessData(set->sim_addr(), 64, /*write=*/true);
-  return task.port_space().Insert(set, RightType::kReceive);
-}
-
-base::Status Kernel::PortSetAdd(Task& task, PortName set_name, PortName member_receive) {
-  cpu().Execute(PortTransferRegion());
-  auto set = task.port_space().LookupReceive(set_name);
-  if (!set.ok()) {
-    return set.status();
-  }
-  if (!(*set)->is_port_set) {
-    return base::Status::kInvalidRight;
-  }
-  auto member = task.port_space().LookupReceive(member_receive);
-  if (!member.ok()) {
-    return member.status();
-  }
-  if ((*member)->is_port_set) {
-    return base::Status::kInvalidArgument;  // sets do not nest
-  }
-  if ((*member)->member_of != nullptr) {
-    return base::Status::kAlreadyExists;
-  }
-  (*member)->member_of = *set;
-  (*set)->set_members.push_back(*member);
-  return base::Status::kOk;
-}
-
-base::Status Kernel::PortSetRemove(Task& task, PortName set_name, PortName member_receive) {
-  auto set = task.port_space().LookupReceive(set_name);
-  if (!set.ok()) {
-    return set.status();
-  }
-  auto member = task.port_space().LookupReceive(member_receive);
-  if (!member.ok()) {
-    return member.status();
-  }
-  if ((*member)->member_of != *set) {
-    return base::Status::kNotFound;
-  }
-  (*member)->member_of = nullptr;
-  auto& members = (*set)->set_members;
-  members.erase(std::find(members.begin(), members.end(), *member));
-  return base::Status::kOk;
 }
 
 base::Result<Port*> Kernel::ResolvePort(Task& task, PortName name) {

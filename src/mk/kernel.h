@@ -1,12 +1,13 @@
 // The IBM Microkernel: the central kernel object.
 //
 // Facilities (paper, "The IBM Microkernel" section): IPC/RPC, tasks and
-// threads, virtual memory management, I/O support, hosts and processor sets,
-// clocks and timers, synchronizers. IPC is present in both forms: the
-// inherited Mach 3.0 mach_msg (queued, asynchronous, reply ports, virtual
-// copy) and the reworked RPC (synchronous, no reply ports, no queuing,
-// blocked send/receive, physical copy, by-reference bulk data) whose 2-10x
-// advantage the paper reports.
+// threads, virtual memory management, I/O support, clocks and timers,
+// synchronizers. The paper's hosts and processor sets are left out: the
+// simulated machine has one CPU and one scheduler. IPC is present in both
+// forms: the inherited Mach 3.0 mach_msg (queued, asynchronous, reply ports,
+// virtual copy) and the reworked RPC (synchronous, no reply ports, no
+// queuing, blocked send/receive, physical copy, by-reference bulk data) whose
+// 2-10x advantage the paper reports.
 //
 // All kernel paths are instrumented against the hw::Cpu cost model; see
 // src/mk/costs.h for the path-length table.
@@ -26,7 +27,6 @@
 #include "src/hw/machine.h"
 #include "src/mk/costs.h"
 #include "src/mk/fault/injector.h"
-#include "src/mk/host.h"
 #include "src/mk/ids.h"
 #include "src/mk/kernel_heap.h"
 #include "src/mk/message.h"
@@ -51,10 +51,6 @@ using ThreadBody = std::function<void(Env&)>;
 
 struct KernelConfig {
   uint64_t kernel_heap_bytes = 8 * 1024 * 1024;
-  uint64_t quantum_cycles = 1'000'000;
-  // Instruction-footprint of the generic application region used when a task
-  // doesn't specify one.
-  uint32_t default_app_footprint = 2048;
   // Debug aid: when non-zero, CheckInvariants() runs on every N-th kernel
   // entry and aborts on the first violation. The analyzer charges no
   // simulated cycles, so enabling it does not perturb measurements — it only
@@ -64,14 +60,11 @@ struct KernelConfig {
   // via Kernel::tracer().Enable(); older events drop on overflow). The
   // tracer is host-side bookkeeping and charges no simulated cycles.
   size_t trace_capacity = 64 * 1024;
-  // When tracing is enabled, Halt() prints the flat profile to stderr.
-  bool profile_at_halt = false;
 };
 
 // Result of a server-side RpcReceive.
 struct RpcRequest {
   uint64_t token = 0;
-  uint64_t arrived_port = 0;  // Port::id() the call arrived on (set receives)
   uint32_t req_len = 0;
   uint32_t ref_len = 0;               // bulk data copied into the posted ref buffer
   std::vector<PortName> rights;       // rights transferred to the server
@@ -109,11 +102,9 @@ class Kernel {
   hw::Cpu& cpu() { return machine_->cpu(); }
   Scheduler& scheduler() { return scheduler_; }
   KernelHeap& heap() { return *heap_; }
-  Host& host() { return host_; }
   trace::Tracer& tracer() { return *tracer_; }
   fault::Injector& faults() { return *faults_; }
   Thread* current() const { return scheduler_.current(); }
-  Task* current_task() const { return scheduler_.current_task(); }
 
   // Runs the machine until no thread is runnable and no device event is
   // pending. Returns the number of threads still blocked (0 = clean halt).
@@ -126,9 +117,9 @@ class Kernel {
   size_t Halt();
 
   // Walks the kernel object graph (port rights, queues and wait queues,
-  // port-set back-pointers, thread states, in-flight RPCs, counters)
-  // checking structural invariants; logs each violation at kError and
-  // returns the number found (0 = consistent). See src/mk/analysis/.
+  // thread states, in-flight RPCs, counters) checking structural
+  // invariants; logs each violation at kError and returns the number found
+  // (0 = consistent). See src/mk/analysis/.
   size_t CheckInvariants() const;
 
   // --- Tasks and threads -------------------------------------------------------
@@ -173,18 +164,10 @@ class Kernel {
   base::Status RegisterDeathWatcher(Task& task, PortName receive_name);
   base::Status UnregisterDeathWatcher(Task& task, PortName receive_name);
 
-  // --- Port sets -----------------------------------------------------------------
-  // A port set groups receive rights so one thread can serve many ports
-  // (as in Mach). Receiving on the set takes work from any member.
-  base::Result<PortName> PortSetAllocate(Task& task);
-  base::Status PortSetAdd(Task& task, PortName set, PortName member_receive);
-  base::Status PortSetRemove(Task& task, PortName set, PortName member_receive);
-
   // --- Traps (the Table 2 comparison point) -------------------------------------
   // Returns the current thread's self port name, creating it on first use.
   PortName TrapThreadSelf();
   TaskId TrapTaskSelf();
-  uint64_t TrapClockGetTimeNs();
 
   // --- Reworked RPC ----------------------------------------------------------------
   // Synchronous call on the current thread. Blocks until the server replies.
@@ -293,8 +276,6 @@ class Kernel {
   base::Status CopyOut(Task& task, hw::VirtAddr dst, const void* src, uint64_t len);
   base::Status CopyIn(Task& task, hw::VirtAddr src, void* dst, uint64_t len);
   base::Status UserFill(Task& task, hw::VirtAddr dst, uint8_t byte, uint64_t len);
-  base::Status CopyUserToUser(Task& src_task, hw::VirtAddr src, Task& dst_task, hw::VirtAddr dst,
-                              uint64_t len);
   // Touch (read or write) a range, faulting pages in; models the access costs
   // without host-visible data movement. Used by synthetic workloads.
   base::Status UserTouch(Task& task, hw::VirtAddr addr, uint64_t len, bool write);
@@ -386,7 +367,7 @@ class Kernel {
 
   Port* NewPort();
   void DestroyPort(Port* port);
-  // Wakes one thread blocked receiving on `port` or on its port set.
+  // Wakes one thread blocked receiving on `port`.
   void WakeOneReceiver(Port* port);
   base::Status RpcCallOnPort(Port* port, const void* req, uint32_t req_len, void* reply,
                              uint32_t reply_cap, uint32_t* reply_len, RpcRef* ref,
@@ -434,7 +415,6 @@ class Kernel {
   base::Status PagerFill(Task& task, VmObject* object, uint64_t page_index, hw::PhysAddr frame);
   void ArmTimer(uint32_t timer_id);
   void StartTimedWake(Thread* t, uint64_t timeout_ns);
-  void ClearTimedWake(Thread* t);
   void DispatchInterrupt(uint32_t line);
   // Enqueues a TaskDeathNotice for `task` to every live registered watcher
   // port; prunes watchers whose port has died.
@@ -447,7 +427,6 @@ class Kernel {
   Scheduler scheduler_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<fault::Injector> faults_;
-  Host host_;
 
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<std::unique_ptr<Thread>> threads_;

@@ -255,21 +255,13 @@ base::Status Kernel::RpcCallOnPort(Port* port, const void* req, uint32_t req_len
   c.completion = base::Status::kOk;
   c.port = port;
 
-  // A server may be parked on the port itself or on the set it belongs to.
-  std::deque<Thread*>* server_queue = nullptr;
   if (!port->waiting_servers.empty()) {
-    server_queue = &port->waiting_servers;
-  } else if (port->member_of != nullptr && !port->member_of->waiting_servers.empty()) {
-    server_queue = &port->member_of->waiting_servers;
-  }
-  if (server_queue != nullptr) {
-    Thread* server = server_queue->front();
-    server_queue->pop_front();
-    server->rpc.arrived_port = port->id();
+    Thread* server = port->waiting_servers.front();
+    port->waiting_servers.pop_front();
     DeliverRpcToServer(client, server);
     if (c.completion != base::Status::kOk) {
       // Delivery failed; re-park the server, fail the call.
-      server_queue->push_front(server);
+      port->waiting_servers.push_front(server);
       return c.completion;
     }
     scheduler_.Wake(server, base::Status::kOk);
@@ -349,25 +341,9 @@ base::Result<RpcRequest> Kernel::RpcReceive(PortName receive_name, void* buf, ui
     ref->recv_ool = false;
   }
 
-  // Receiving on a port set services whichever member has a caller waiting.
-  Port* source = port;
-  if (port->is_port_set) {
-    source = nullptr;
-    for (Port* member : port->set_members) {
-      if (!member->waiting_clients.empty()) {
-        source = member;
-        break;
-      }
-    }
-  } else if (!port->waiting_clients.empty()) {
-    source = port;
-  } else {
-    source = nullptr;
-  }
-  if (source != nullptr) {
-    Thread* client = source->waiting_clients.front();
-    source->waiting_clients.pop_front();
-    server->rpc.arrived_port = source->id();
+  if (!port->waiting_clients.empty()) {
+    Thread* client = port->waiting_clients.front();
+    port->waiting_clients.pop_front();
     DeliverRpcToServer(client, server);
     if (client->rpc.completion != base::Status::kOk) {
       // The queued request didn't fit; fail the client, keep receiving.
@@ -393,7 +369,6 @@ base::Result<RpcRequest> Kernel::RpcReceive(PortName receive_name, void* buf, ui
   }
   RpcRequest out;
   out.token = s.token;
-  out.arrived_port = s.arrived_port;
   out.req_len = s.srv_req_len;
   out.ref_len = s.srv_ref_len;
   out.rights = std::move(s.srv_rights);
@@ -572,22 +547,10 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
     ref->recv_ool = false;
   }
 
-  // Serve any caller already queued on a member/port.
-  Port* source = nullptr;
-  if (port->is_port_set) {
-    for (Port* member : port->set_members) {
-      if (!member->waiting_clients.empty()) {
-        source = member;
-        break;
-      }
-    }
-  } else if (!port->waiting_clients.empty()) {
-    source = port;
-  }
-  if (source != nullptr) {
-    Thread* next_client = source->waiting_clients.front();
-    source->waiting_clients.pop_front();
-    server->rpc.arrived_port = source->id();
+  // Serve any caller already queued on the port.
+  if (!port->waiting_clients.empty()) {
+    Thread* next_client = port->waiting_clients.front();
+    port->waiting_clients.pop_front();
     DeliverRpcToServer(next_client, server);
     if (next_client->rpc.completion != base::Status::kOk) {
       // The queued request didn't fit the posted buffers. Fail that client —
@@ -606,7 +569,6 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
     }
     RpcRequest out;
     out.token = s.token;
-    out.arrived_port = s.arrived_port;
     out.req_len = s.srv_req_len;
     out.ref_len = s.srv_ref_len;
     out.rights = std::move(s.srv_rights);
@@ -639,7 +601,6 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
   }
   RpcRequest out;
   out.token = s.token;
-  out.arrived_port = s.arrived_port;
   out.req_len = s.srv_req_len;
   out.ref_len = s.srv_ref_len;
   out.rights = std::move(s.srv_rights);

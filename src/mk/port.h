@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/hw/types.h"
@@ -58,14 +57,6 @@ class Port {
   uint64_t send_count = 0;
   uint64_t rpc_count = 0;
 
-  // --- Port sets ---------------------------------------------------------------
-  // A port set is itself a Port object that cannot carry traffic; receive
-  // operations on it service whichever member has work. Members hold a back
-  // pointer so senders can wake a receiver parked on the set.
-  bool is_port_set = false;
-  std::vector<Port*> set_members;
-  Port* member_of = nullptr;
-
  private:
   uint64_t id_;
   hw::PhysAddr sim_addr_;
@@ -98,10 +89,6 @@ class PortSpace {
 
   // Drops one reference; removes the entry when it reaches zero.
   base::Status Release(PortName name);
-  void RemoveAll();
-
-  // The name by which this space holds a send right to `port`, or kNullPort.
-  PortName SendNameOf(Port* port) const;
 
   // Iterates every right in the space (kernel state analyzer, diagnostics).
   void ForEachRight(const std::function<void(PortName, const PortRight&)>& fn) const;

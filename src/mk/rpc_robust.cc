@@ -33,17 +33,6 @@ base::Status RpcCallRobust(Env& env, const PortResolver& resolve, PortName* cach
   for (uint32_t attempt = 0; attempt < opts.max_attempts; ++attempt) {
     if (attempt > 0) {
       uint64_t sleep_ns = backoff;
-      if (opts.breaker != nullptr) {
-        // Consecutive kBusy completions seen by the shared breaker widen
-        // the backoff beyond this call's own doubling: the whole client
-        // population slows down together under sustained overload.
-        const uint32_t shift =
-            opts.breaker->consecutive_busy() < 10 ? opts.breaker->consecutive_busy() : 10;
-        const uint64_t widened = opts.retry_backoff_ns << shift;
-        if (widened > sleep_ns) {
-          sleep_ns = widened;
-        }
-      }
       if (opts.jitter && sleep_ns > 1) {
         // Uniform in [sleep/2, sleep]: desynchronizes retries across
         // threads without shrinking the mean wait below half.
@@ -51,13 +40,6 @@ base::Status RpcCallRobust(Env& env, const PortResolver& resolve, PortName* cach
       }
       (void)env.SleepNs(sleep_ns);
       backoff *= 2;
-    }
-    if (opts.breaker != nullptr && !opts.breaker->Admit(env.NowNs())) {
-      // Breaker open: the destination is shedding — fail fast instead of
-      // adding another caller to its queue. Degraded, not hung.
-      ++env.kernel().tracer().metrics().Counter("mk.rpc.breaker_fast_fail");
-      robust.set_end_payload(static_cast<uint64_t>(base::Status::kUnavailable));
-      return base::Status::kUnavailable;
     }
     if (ref != nullptr) {
       // A failed attempt (kBusy, timeout, dead port) must not leave partial
@@ -83,7 +65,6 @@ base::Status RpcCallRobust(Env& env, const PortResolver& resolve, PortName* cach
       case base::Status::kPortDead:
       case base::Status::kInvalidName:
         // The server died (or our cached right went stale); look it up again.
-        // Not an overload signal: the breaker is left untouched.
         *cached_port = kNullPort;
         last = st;
         continue;
@@ -94,15 +75,9 @@ base::Status RpcCallRobust(Env& env, const PortResolver& resolve, PortName* cach
         last = st;
         continue;
       case base::Status::kBusy:
-        if (opts.breaker != nullptr) {
-          opts.breaker->OnBusy(env.NowNs());
-        }
         last = st;
         continue;
       default:
-        if (opts.breaker != nullptr) {
-          opts.breaker->OnSuccess();
-        }
         robust.set_end_payload(static_cast<uint64_t>(st));
         return st;
     }

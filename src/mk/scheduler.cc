@@ -29,10 +29,6 @@ const hw::CodeRegion& PmapRegion() {
 }
 }  // namespace
 
-Task* Scheduler::current_task() const {
-  return current_ == nullptr ? nullptr : current_->task();
-}
-
 SyncObserver* Scheduler::observer() const { return kernel_->sync_observer_; }
 
 void Scheduler::MakeReady(Thread* t) {
@@ -89,18 +85,20 @@ Thread* Scheduler::PickNext() {
   }
   for (int prio = Thread::kNumPriorities - 1; prio >= 0; --prio) {
     auto& q = ready_[prio];
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      Thread* t = *it;
-      ProcessorSet* ps = t->task()->processor_set();
-      if (ps != nullptr && !ps->enabled()) {
-        continue;  // task's processor set is disabled; skip but keep queued
-      }
-      q.erase(it);
+    if (!q.empty()) {
+      Thread* t = q.front();
+      q.pop_front();
       --ready_count_;
       return t;
     }
   }
   return nullptr;
+}
+
+void Scheduler::AppendReady(std::vector<Thread*>* candidates) const {
+  for (int prio = Thread::kNumPriorities - 1; prio >= 0; --prio) {
+    candidates->insert(candidates->end(), ready_[prio].begin(), ready_[prio].end());
+  }
 }
 
 // Policy-driven dispatch: enumerate every runnable thread in the stock scan
@@ -112,15 +110,7 @@ Thread* Scheduler::PickNextWithPolicy() {
   handoff_hint_ = nullptr;
   std::vector<Thread*> candidates;
   candidates.reserve(ready_count_);
-  for (int prio = Thread::kNumPriorities - 1; prio >= 0; --prio) {
-    for (Thread* t : ready_[prio]) {
-      ProcessorSet* ps = t->task()->processor_set();
-      if (ps != nullptr && !ps->enabled()) {
-        continue;
-      }
-      candidates.push_back(t);
-    }
-  }
+  AppendReady(&candidates);
   if (candidates.empty()) {
     handoff_was_hint_ = false;
     return nullptr;
@@ -157,18 +147,7 @@ void Scheduler::PreemptPoint() {
   std::vector<Thread*> candidates;
   candidates.reserve(ready_count_ + 1);
   candidates.push_back(current_);
-  for (int prio = Thread::kNumPriorities - 1; prio >= 0; --prio) {
-    for (Thread* t : ready_[prio]) {
-      ProcessorSet* ps = t->task()->processor_set();
-      if (ps != nullptr && !ps->enabled()) {
-        continue;
-      }
-      candidates.push_back(t);
-    }
-  }
-  if (candidates.size() < 2) {
-    return;
-  }
+  AppendReady(&candidates);
   Thread* next = policy_->OnPreemptPoint(current_, candidates);
   if (next == current_) {
     return;  // no preemption: continue with no switch and no cost

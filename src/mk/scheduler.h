@@ -34,8 +34,8 @@ class SchedulePolicy {
   virtual ~SchedulePolicy() = default;
 
   // Dispatch decision. `candidates` lists every runnable thread in the stock
-  // scheduler's scan order (priority high to low, FIFO within a priority,
-  // disabled processor sets skipped); `natural` is the index the stock
+  // scheduler's scan order (priority high to low, FIFO within a priority);
+  // `natural` is the index the stock
   // scheduler would pick (the handoff hint when one is pending, else the
   // front of the scan). `previous` ran before this decision (nullptr at
   // boot); `reason` is why it stopped. Returns the index to dispatch.
@@ -54,7 +54,6 @@ class Scheduler {
   explicit Scheduler(Kernel* kernel) : kernel_(kernel) {}
 
   Thread* current() const { return current_; }
-  Task* current_task() const;
 
   // Main loop: dispatches ready threads until none are ready and no machine
   // event can make one ready. Called once by Kernel::Run.
@@ -93,7 +92,7 @@ class Scheduler {
 
   // Timeslice in cycles; a thread that has been on-CPU longer than this is
   // preempted at its next kernel entry.
-  uint64_t quantum_cycles = 1'000'000;
+  static constexpr uint64_t kQuantumCycles = 1'000'000;
 
   // Ablation knob: with direct handoff disabled, RPC rendezvous go through
   // the ordinary ready queue (wake + full dispatch) instead of switching
@@ -105,6 +104,9 @@ class Scheduler {
 
   Thread* PickNext();
   Thread* PickNextWithPolicy();
+  // Appends every ready thread in scan order (priority high to low, FIFO
+  // within a priority): the candidates a schedule policy chooses from.
+  void AppendReady(std::vector<Thread*>* candidates) const;
   SyncObserver* observer() const;
   void DispatchLoop();
   // Switch from the scheduler context into `t`.

@@ -17,8 +17,8 @@
 //   3. Metrics: named counters / high-water gauges / log-scaled histograms
 //      (per-server RPC latency, port queue depths) in a MetricRegistry.
 //
-// Exporters for Chrome trace-event JSON, a human-readable flat profile and
-// a JSON metrics dump live in exporters.h.
+// Exporters for Chrome trace-event JSON, a JSON metrics dump and the causal
+// request trees live in exporters.h.
 #ifndef SRC_MK_TRACE_TRACER_H_
 #define SRC_MK_TRACE_TRACER_H_
 

@@ -118,12 +118,4 @@ base::Status VmMap::Protect(hw::VirtAddr start, uint64_t size, Prot prot) {
   return base::Status::kOk;
 }
 
-uint64_t VmMap::mapped_bytes() const {
-  uint64_t total = 0;
-  for (const auto& [start, e] : entries_) {
-    total += e.size;
-  }
-  return total;
-}
-
 }  // namespace mk

@@ -64,9 +64,6 @@ class VmMap {
   const std::map<hw::VirtAddr, VmMapEntry>& entries() const { return entries_; }
   size_t entry_count() const { return entries_.size(); }
 
-  // Total mapped bytes (virtual size, not resident).
-  uint64_t mapped_bytes() const;
-
  private:
   bool RangeFree(hw::VirtAddr start, uint64_t size) const;
   std::map<hw::VirtAddr, VmMapEntry> entries_;  // keyed by start

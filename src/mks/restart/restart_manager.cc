@@ -55,20 +55,6 @@ base::Result<mk::PortName> RestartManager::HealthRightFor(mk::Task& server_task)
   return kernel_.MakeSendRight(*task_, notify_port_, server_task);
 }
 
-base::Status RestartManager::ResetBudget(mk::Env& env, const std::string& name) {
-  // The revive must run on the manager's thread: the factory mints rights in
-  // the manager's port space, which a caller-side respawn could not do.
-  auto right = kernel_.MakeSendRight(*task_, notify_port_, env.task());
-  if (!right.ok()) {
-    return right.status();
-  }
-  mk::MachMessage msg;
-  msg.msg_id = kReviveMsgId;
-  msg.dest = *right;
-  msg.inline_data.assign(name.begin(), name.end());
-  return kernel_.MachMsgSend(std::move(msg));
-}
-
 uint64_t RestartManager::restarts(const std::string& name) const {
   auto it = entries_.find(name);
   return it == entries_.end() ? 0 : it->second.restarts;
@@ -109,8 +95,6 @@ void RestartManager::Serve(mk::Env& env) {
       mk::HeartbeatPing ping;
       std::memcpy(&ping, msg.inline_data.data(), sizeof(ping));
       HandleHeartbeat(env, ping.task);
-    } else if (msg.msg_id == kReviveMsgId && !msg.inline_data.empty()) {
-      HandleRevive(env, std::string(msg.inline_data.begin(), msg.inline_data.end()));
     }
     if (policy_.heartbeat_deadline_ns != 0) {
       CheckDeadlines(env);
@@ -152,29 +136,6 @@ void RestartManager::CheckDeadlines(mk::Env& env) {
                     << now - entry.last_beat_ns << " ns)";
     kernel_.TerminateTask(entry.task);
   }
-}
-
-void RestartManager::HandleRevive(mk::Env& env, const std::string& name) {
-  auto it = entries_.find(name);
-  if (it == entries_.end() || !it->second.degraded) {
-    return;  // unknown or not degraded; nothing to revive
-  }
-  Entry& entry = it->second;
-  entry.restarts = 0;
-  entry.degraded = false;
-  entry.beating = false;
-  Respawned spawned = entry.factory(env);
-  WPOS_CHECK(spawned.task != nullptr) << "revive factory for " << name << " returned no task";
-  entry.task = spawned.task;
-  by_task_[spawned.task->id()] = name;
-  if (names_ != nullptr && spawned.service_right != mk::kNullPort) {
-    (void)names_->Unregister(env, name);
-    (void)names_->Register(env, name, spawned.service_right);
-  }
-  ++kernel_.tracer().metrics().Counter("restart." + name + ".revived");
-  kernel_.tracer().Emit(mk::trace::EventType::kServerRestart, spawned.task->id(),
-                        entry.restarts);
-  WPOS_LOG(kInfo) << "restart: revived " << name << " (budget reset)";
 }
 
 void RestartManager::HandleTaskDeath(mk::Env& env, mk::TaskId dead) {

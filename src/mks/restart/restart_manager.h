@@ -49,10 +49,6 @@ struct RestartPolicy {
   uint64_t watchdog_poll_ns = 0;
 };
 
-// Administrative revive request (RestartManager::ResetBudget): the name of
-// the degraded server rides as the message's inline data.
-constexpr uint32_t kReviveMsgId = 0x4D11;
-
 class RestartManager {
  public:
   // What a factory hands back: the respawned server's task plus a send
@@ -81,7 +77,7 @@ class RestartManager {
 
   // Mints a send right to the manager's notification port in `server_task`'s
   // space, for ServerLoop::EnableHeartbeat / FileServer::EnableHeartbeat.
-  // Heartbeats, death notices and revive requests share the one port.
+  // Heartbeats and death notices share the one port.
   base::Result<mk::PortName> HealthRightFor(mk::Task& server_task);
 
   // Registers a callback invoked (with the supervised name) whenever a
@@ -91,13 +87,6 @@ class RestartManager {
   void AddDeathListener(std::function<void(const std::string&)> listener) {
     death_listeners_.push_back(std::move(listener));
   }
-
-  // Administratively revives a degraded (gave-up) server: resets its restart
-  // budget, respawns it through its factory and re-registers the name.
-  // Callable from any task; the request is a kReviveMsgId message handled on
-  // the manager's thread (rights minted by the factory must land in the
-  // manager's port space). Exports restart.<name>.revived.
-  base::Status ResetBudget(mk::Env& env, const std::string& name);
 
   uint64_t restarts(const std::string& name) const;
   bool degraded(const std::string& name) const;
@@ -121,7 +110,6 @@ class RestartManager {
   void Serve(mk::Env& env);
   void HandleTaskDeath(mk::Env& env, mk::TaskId dead);
   void HandleHeartbeat(mk::Env& env, mk::TaskId task);
-  void HandleRevive(mk::Env& env, const std::string& name);
   void CheckDeadlines(mk::Env& env);
   uint64_t WatchdogPollNs() const {
     return policy_.watchdog_poll_ns != 0 ? policy_.watchdog_poll_ns

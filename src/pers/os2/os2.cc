@@ -44,8 +44,6 @@ uint32_t Os2Server::RegisterProcess(const std::string& name) {
   return pid;
 }
 
-void Os2Server::UnregisterProcess(uint32_t pid) { processes_.erase(pid); }
-
 void Os2Server::HandleExitProcess(mk::Env& env, const mk::RpcRequest& rpc,
                                   const Os2Request& r) {
   Os2Reply reply;

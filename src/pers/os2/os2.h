@@ -51,7 +51,6 @@ class Os2Server {
   void Stop() { loop_->Stop(); }
 
   uint32_t RegisterProcess(const std::string& name);
-  void UnregisterProcess(uint32_t pid);
   size_t process_count() const { return processes_.size(); }
 
  private:

@@ -27,7 +27,7 @@ int UnixErrnoOf(base::Status st) {
     case base::Status::kNotFound:
       return kENOENT;
     case base::Status::kBusy:          // admission-control shed
-    case base::Status::kUnavailable:   // breaker fast-fail / degraded server
+    case base::Status::kUnavailable:   // degraded server
     case base::Status::kTimedOut:      // bounded-call deadline expired
     case base::Status::kQueueFull:     // legacy IPC queue limit
     case base::Status::kWouldBlock:

@@ -48,10 +48,10 @@ enum UnixErrno : int {
 };
 
 // Maps a service status to errno. The graceful-degradation statuses —
-// kBusy (admission-control shed), kUnavailable (breaker fast-fail or a
-// degraded server) and kTimedOut (bounded call deadline expired) — all
-// surface as EAGAIN: the POSIX contract for "back off and retry", instead
-// of a hang inside the C library.
+// kBusy (admission-control shed), kUnavailable (a degraded server) and
+// kTimedOut (bounded call deadline expired) — all surface as EAGAIN: the
+// POSIX contract for "back off and retry", instead of a hang inside the C
+// library.
 int UnixErrnoOf(base::Status st);
 
 class UnixPersonality;

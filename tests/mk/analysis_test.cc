@@ -1,10 +1,13 @@
 // Kernel state analyzer tests: wait-for-graph deadlock detection and the
 // object-graph invariant checker (src/mk/analysis/).
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/mk/analysis/invariants.h"
 #include "src/mk/analysis/wait_for_graph.h"
 #include "src/mk/kernel.h"
 #include "tests/mk/kernel_test_fixture.h"
@@ -163,43 +166,20 @@ TEST_F(KernelTest, KillTaskWithQueuedMessagesStaysConsistent) {
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
-// Teardown invariant: destroying a port-set member detaches it from the set
-// in both directions; destroying the set releases all members.
-TEST_F(KernelTest, PortSetMemberDeathDetachesLinks) {
-  Task* task = kernel_.CreateTask("srv");
-  auto set = kernel_.PortSetAllocate(*task);
-  auto m1 = kernel_.PortAllocate(*task);
-  auto m2 = kernel_.PortAllocate(*task);
-  ASSERT_EQ(kernel_.PortSetAdd(*task, *set, *m1), base::Status::kOk);
-  ASSERT_EQ(kernel_.PortSetAdd(*task, *set, *m2), base::Status::kOk);
-  Port* set_port = *kernel_.ResolvePort(*task, *set);
-  Port* m1_port = *kernel_.ResolvePort(*task, *m1);
-  Port* m2_port = *kernel_.ResolvePort(*task, *m2);
-
-  ASSERT_EQ(kernel_.PortDestroy(*task, *m1), base::Status::kOk);
-  EXPECT_EQ(m1_port->member_of, nullptr);
-  EXPECT_EQ(set_port->set_members.size(), 1u);
-  EXPECT_EQ(set_port->set_members.front(), m2_port);
-  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-
-  ASSERT_EQ(kernel_.PortDestroy(*task, *set), base::Status::kOk);
-  EXPECT_EQ(m2_port->member_of, nullptr);
-  EXPECT_TRUE(set_port->set_members.empty());
-  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-}
-
 // The checker actually detects corruption (and says what broke).
 TEST_F(KernelTest, InvariantCheckerFlagsCorruption) {
   Task* task = kernel_.CreateTask("t");
-  auto set = kernel_.PortSetAllocate(*task);
-  auto member = kernel_.PortAllocate(*task);
-  Port* set_port = *kernel_.ResolvePort(*task, *set);
-  Port* member_port = *kernel_.ResolvePort(*task, *member);
+  auto recv = kernel_.PortAllocate(*task);
+  ASSERT_TRUE(recv.ok());
+  Port* port = *kernel_.ResolvePort(*task, *recv);
+  port->queue.push_back(std::make_unique<QueuedMessage>());
 
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-  member_port->member_of = set_port;  // one-way link: corrupt
-  EXPECT_GE(kernel_.CheckInvariants(), 1u);
-  member_port->member_of = nullptr;  // restore for teardown
+  port->queue_limit = 0;  // one queued message over the limit: corrupt
+  const std::vector<std::string> violations = analysis::CollectViolations(kernel_);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_TRUE(Contains(violations.front(), "queue 1 exceeds limit 0")) << violations.front();
+  port->queue_limit = Port::kDefaultQueueLimit;  // restore for teardown
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 

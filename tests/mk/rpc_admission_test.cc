@@ -246,112 +246,5 @@ TEST_F(KernelTest, RetryJitterDesynchronizesThreads) {
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
-// CircuitBreaker unit tests: trip threshold, open-window fast-fail,
-// half-open probe, close on success, cooldown widening on repeated trips.
-TEST(CircuitBreakerTest, TripsAfterThresholdAndFastFailsWhileOpen) {
-  BreakerOptions opts;
-  opts.busy_threshold = 3;
-  opts.cooldown_ns = 1'000;
-  CircuitBreaker breaker(opts);
-  EXPECT_TRUE(breaker.Admit(0));
-  breaker.OnBusy(0);
-  EXPECT_TRUE(breaker.Admit(0));
-  breaker.OnBusy(0);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.OnBusy(0);  // third consecutive busy trips it
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.trips(), 1u);
-  EXPECT_FALSE(breaker.Admit(500)) << "open window refuses attempts";
-  EXPECT_TRUE(breaker.Admit(1'000)) << "cooldown expiry admits the probe";
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_FALSE(breaker.Admit(1'000)) << "one probe at a time";
-  breaker.OnSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(breaker.consecutive_busy(), 0u);
-}
-
-TEST(CircuitBreakerTest, FailedProbeReopensWithWiderCooldown) {
-  BreakerOptions opts;
-  opts.busy_threshold = 1;
-  opts.cooldown_ns = 1'000;
-  CircuitBreaker breaker(opts);
-  breaker.OnBusy(0);  // trip #1: open until 1'000
-  EXPECT_TRUE(breaker.Admit(1'000));
-  breaker.OnBusy(1'000);  // failed probe: trip #2, cooldown doubled
-  EXPECT_EQ(breaker.trips(), 2u);
-  EXPECT_FALSE(breaker.Admit(2'500)) << "doubled cooldown (2000ns) still open";
-  EXPECT_TRUE(breaker.Admit(3'000));
-  breaker.OnSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreakerTest, CooldownWideningIsCapped) {
-  BreakerOptions opts;
-  opts.busy_threshold = 1;
-  opts.cooldown_ns = 1'000;
-  opts.max_cooldown_shift = 2;
-  CircuitBreaker breaker(opts);
-  uint64_t now = 0;
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(breaker.Admit(now));
-    breaker.OnBusy(now);
-    // Shift caps at 2: cooldown never exceeds 4'000.
-    EXPECT_TRUE(breaker.Admit(now + 4'000));
-    now += 4'000;
-    breaker.OnBusy(now);  // fail the probe; re-open
-    now += 4'000;
-  }
-  EXPECT_TRUE(breaker.Admit(now));
-}
-
-// End-to-end: a robust call with a breaker fast-fails kUnavailable once the
-// destination has shed it busy_threshold times, without issuing further RPCs.
-TEST_F(KernelTest, BreakerFastFailsRobustCallsUnderSustainedShed) {
-  Task* server_task = kernel_.CreateTask("server");
-  Task* client_task = kernel_.CreateTask("client");
-  auto recv = kernel_.PortAllocate(*server_task);
-  ASSERT_TRUE(recv.ok());
-  ASSERT_EQ(kernel_.PortSetQueueLimit(*server_task, *recv, 1), base::Status::kOk);
-  auto blocker_send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
-  auto send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
-
-  kernel_.CreateThread(client_task, "blocker", [&, right = *blocker_send](Env& env) {
-    uint32_t req[2] = {kEchoOp, 0};
-    uint32_t reply[2] = {};
-    EXPECT_EQ(env.RpcCall(right, req, sizeof(req), reply, sizeof(reply)),
-              base::Status::kPortDead);
-  });
-  kernel_.CreateThread(client_task, "robust", [&, right = *send](Env& env) {
-    (void)env.SleepNs(10'000);
-    PortName cached = right;
-    const PortResolver resolver = [right](Env&) -> base::Result<PortName> { return right; };
-    BreakerOptions bopts;
-    bopts.busy_threshold = 2;
-    bopts.cooldown_ns = 50'000'000;  // far beyond this test's horizon
-    CircuitBreaker breaker(bopts);
-    RobustCallOptions opts;
-    opts.max_attempts = 2;
-    opts.retry_backoff_ns = 20'000;
-    opts.breaker = &breaker;
-    uint32_t req[2] = {kEchoOp, 1};
-    uint32_t reply[2] = {};
-    // First call: both attempts shed, breaker trips at the 2nd kBusy.
-    EXPECT_EQ(RpcCallRobust(env, resolver, &cached, req, sizeof(req), reply, sizeof(reply), opts),
-              base::Status::kBusy);
-    EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-    const uint64_t sheds_before =
-        env.kernel().tracer().metrics().Counter("mk.rpc.shed");
-    // Second call: the open breaker refuses it before any RPC is issued.
-    EXPECT_EQ(RpcCallRobust(env, resolver, &cached, req, sizeof(req), reply, sizeof(reply), opts),
-              base::Status::kUnavailable);
-    EXPECT_EQ(env.kernel().tracer().metrics().Counter("mk.rpc.shed"), sheds_before)
-        << "a fast-failed call must not reach the port";
-    EXPECT_GE(env.kernel().tracer().metrics().Counter("mk.rpc.breaker_fast_fail"), 1u);
-    (void)env.kernel().PortDestroy(*server_task, recv.value());
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-}
-
 }  // namespace
 }  // namespace mk

@@ -301,46 +301,6 @@ TEST_F(RestartTest, UnsupervisedStopIsNotKilledOrRespawned) {
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
-// Satellite: ResetBudget revives a degraded server — budget cleared, factory
-// re-run, name re-registered, restart.<name>.revived exported.
-TEST_F(RestartTest, ResetBudgetRevivesDegradedServer) {
-  RestartPolicy policy;
-  policy.max_restarts = 0;  // first death degrades immediately
-  MakeManager(policy);
-  mk::Task* gen0 = SpawnEcho();
-  mgr_->Supervise(kName, gen0, EchoFactory());
-
-  kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
-    NameClient nc(ns_for_client_);
-    auto right = kernel_.MakeSendRight(*tasks_[0], recvs_[0], *client_task_);
-    ASSERT_TRUE(right.ok());
-    ASSERT_EQ(nc.Register(env, kName, *right), base::Status::kOk);
-    const mk::PortResolver resolver = [&nc](mk::Env& e) { return nc.Resolve(e, kName); };
-    mk::PortName cached = mk::kNullPort;
-    uint32_t req[2] = {kEchoOp, 5};
-    uint32_t reply[2] = {};
-
-    env.kernel().TerminateTask(tasks_[0]);
-    EXPECT_EQ(mk::RpcCallRobust(env, resolver, &cached, req, sizeof(req), reply, sizeof(reply)),
-              base::Status::kUnavailable);
-    EXPECT_TRUE(mgr_->degraded(kName));
-
-    // Administrative revive: the manager respawns and re-registers.
-    ASSERT_EQ(mgr_->ResetBudget(env, kName), base::Status::kOk);
-    (void)env.SleepNs(1'000'000);  // let the manager process the request
-    EXPECT_FALSE(mgr_->degraded(kName));
-    EXPECT_EQ(mgr_->restarts(kName), 0u) << "revive resets the budget";
-    cached = mk::kNullPort;
-    ASSERT_EQ(mk::RpcCallRobust(env, resolver, &cached, req, sizeof(req), reply, sizeof(reply)),
-              base::Status::kOk);
-    EXPECT_EQ(reply[1], 5u);
-    StopAll();
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(kernel_.tracer().metrics().Counter(std::string("restart.") + kName + ".revived"), 1u);
-  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-}
-
 // Without a name service (kNullPort) the manager still respawns; clients
 // with a direct factory-published right recover without naming.
 TEST_F(RestartTest, RespawnsWithoutNameService) {

@@ -57,7 +57,7 @@ TEST_F(PersonalityTest, UnixOpenReadWriteWithImplicitOffset) {
 }
 
 // The errno mapping is the personality's overload surface: every graceful
-// degradation status — shed (kBusy), breaker fast-fail (kUnavailable),
+// degradation status — shed (kBusy), degraded server (kUnavailable),
 // bounded-call expiry (kTimedOut), legacy queue overflow (kQueueFull) —
 // becomes EAGAIN ("try again"), not a hang and not a hard error.
 TEST(UnixErrnoTest, DegradationStatusesMapToEagain) {

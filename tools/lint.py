@@ -30,9 +30,7 @@ Checks, over every header and source file under src/ and tests/:
      except kNone/kCount must be referenced somewhere outside points.h.
      A registered-but-never-armed-or-fired point documents coverage the
      campaign does not actually have.
-  6. Determinism (src/mk, src/svc, and src/pers; src/mk/host.cc exempt):
-     the
-     simulation must replay bit-identically — that is what makes schedule
+  6. Determinism (src/mk, src/svc, and src/pers): the simulation must replay bit-identically — that is what makes schedule
      traces from the explorer reproducible. Banned: rand()/srand(),
      std::random_device, wall-clock reads (std::chrono::system_clock etc.,
      time(), gettimeofday, clock_gettime), and range-for iteration over
@@ -97,7 +95,6 @@ ABLATIONS_BASELINE = Path("BENCH_ablations.json")
 ABLATION_HEADING_RE = re.compile(r"^\*\*(A\d+b?) —")
 
 DETERMINISM_SCOPES = (Path("src") / "mk", Path("src") / "svc", Path("src") / "pers")
-DETERMINISM_EXEMPT = {Path("src") / "mk" / "host.cc"}
 BANNED_NONDETERMINISM = (
     (re.compile(r"\b(?:s?rand)\s*\("), "rand()/srand() — seedless PRNG"),
     (re.compile(r"std::random_device"), "std::random_device — hardware entropy"),
@@ -265,8 +262,6 @@ def load_unordered_accessors() -> set:
 
 
 def in_determinism_scope(rel_path: Path) -> bool:
-    if rel_path in DETERMINISM_EXEMPT:
-        return False
     return any(
         rel_path.parts[: len(scope.parts)] == scope.parts for scope in DETERMINISM_SCOPES
     )
